@@ -15,6 +15,10 @@
 // to certify that the process runtime is a transport change, not a
 // semantics change.
 //
+// `--stats_json FILE` writes both ProbKB systems' execution stats;
+// `--trace_chrome FILE` writes their span timeline (iterations, statements,
+// operators, motions) as chrome://tracing JSON.
+//
 // Out-of-core flags:
 //   --scale-facts N    extend the generated KB to N facts (ScaleKbFacts;
 //                      power-law relation/entity usage) before grounding
@@ -37,9 +41,11 @@
 #include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
 #include "obs/stats_registry.h"
+#include "obs/trace.h"
 #include "runtime/process_runtime.h"
 #include "tuffy/tuffy_grounder.h"
 #include "util/mem_budget.h"
+#include "util/strings.h"
 #include "util/timer.h"
 
 namespace {
@@ -175,6 +181,8 @@ int main(int argc, char** argv) {
   const std::string json_path = bench::JsonPathFromArgs(argc, argv);
   const std::string stats_json_path =
       bench::ArgValue(argc, argv, "--stats_json");
+  const std::string trace_chrome_path =
+      bench::ArgValue(argc, argv, "--trace_chrome");
   const double scale = bench::BenchScale();
   const double stmt = bench::StatementSeconds();
   const int kIterations = 4;
@@ -257,12 +265,14 @@ int main(int argc, char** argv) {
   std::vector<SystemRun> runs;
 
   // Execution-stats registries for the two ProbKB systems, attached only
-  // when `--stats_json` (or PROBKB_TRACE) asks for them so the default
-  // bench numbers stay instrumentation-free.
+  // when `--stats_json` or `--trace_chrome` asks for them so the default
+  // bench numbers stay instrumentation-free. The trace holds both systems'
+  // iteration, statement, operator and motion spans on one clock.
   StatsRegistry mpp_registry;
   StatsRegistry single_registry;
   const bool want_stats =
-      !stats_json_path.empty() || mpp_registry.trace_enabled();
+      !stats_json_path.empty() || !trace_chrome_path.empty();
+  if (!trace_chrome_path.empty()) Tracer::Global()->set_enabled(true);
 
   // --- ProbKB-p (MPP simulator with views) ----------------------------------
   {
@@ -447,12 +457,14 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("wrote %s\n", stats_json_path.c_str());
   }
-  if (want_stats) {
-    // With PROBKB_TRACE set, the (richer) MPP run's spans win the file.
-    if (auto st = mpp_registry.WriteTraceIfEnabled(); !st.ok()) {
+  if (!trace_chrome_path.empty()) {
+    if (auto st = WriteTextFile(trace_chrome_path,
+                                Tracer::Global()->DumpChromeJson(), "trace");
+        !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
+    std::printf("wrote %s\n", trace_chrome_path.c_str());
   }
   return 0;
 }

@@ -1,18 +1,11 @@
 #include "engine/tunables.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <mutex>
-#include <numeric>
-#include <thread>
-#include <vector>
 
 #include "util/logging.h"
 #include "util/mem_budget.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace probkb {
 
@@ -21,55 +14,68 @@ namespace {
 std::mutex g_tunables_mu;
 Tunables g_tunables;  // guarded by g_tunables_mu
 
-/// Reads an int64 env override into `*dst`; warns and keeps the old value
-/// on garbage or out-of-range input (mirrors ResolveThreads).
-void EnvInt64(const char* name, int64_t min_value, int64_t* dst) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return;
+/// One row per knob: the single validator behind both override sources.
+struct Knob {
+  const char* name;  // Tunables field name = the --tunable key
+  const char* env;
+  int64_t min_value;
+  /// Round down to a power of two in [1, 256]: the partition router takes
+  /// the top log2(parts) hash bits.
+  bool pow2;
+  /// Byte size with optional K/M/G suffix ("512M"), parsed by
+  /// ParseByteSize.
+  bool byte_size;
+  /// Settable by name (--tunable); the out-of-core knobs have their own
+  /// flags instead.
+  bool by_name;
+  int64_t Tunables::*field;
+};
+
+constexpr Knob kKnobs[] = {
+    {"parallel_min_rows", "PROBKB_PARALLEL_MIN_ROWS", 1, false, false, true,
+     &Tunables::parallel_min_rows},
+    {"hash_chunk_rows", "PROBKB_HASH_CHUNK_ROWS", 64, false, false, true,
+     &Tunables::hash_chunk_rows},
+    {"morsel_rows", "PROBKB_MORSEL_ROWS", 64, false, false, true,
+     &Tunables::morsel_rows},
+    {"serial_fanout_row_cutoff", "PROBKB_SERIAL_FANOUT_CUTOFF", 0, false,
+     false, true, &Tunables::serial_fanout_row_cutoff},
+    {"max_build_partitions", "PROBKB_MAX_BUILD_PARTITIONS", 1, true, false,
+     true, &Tunables::max_build_partitions},
+    {"mem_budget_bytes", "PROBKB_MEM_BUDGET", 0, false, true, false,
+     &Tunables::mem_budget_bytes},
+    {"spill_page_bytes", "PROBKB_SPILL_PAGE_BYTES", 4096, false, true, false,
+     &Tunables::spill_page_bytes},
+    {"grace_split_min_rows", "PROBKB_GRACE_SPLIT_MIN_ROWS", 1, false, false,
+     false, &Tunables::grace_split_min_rows},
+};
+
+/// Parses and validates `text` for `knob`; on success writes the (clamped)
+/// value into `*t`.
+Status ApplyKnob(const Knob& knob, std::string_view text, Tunables* t) {
   int64_t v = 0;
-  if (!ParseInt64(StripWhitespace(env), &v) || v < min_value) {
-    PROBKB_SLOG(Engine, Warning)
-        << "ignoring " << name << "='" << env << "' (expected an integer >= "
-        << min_value << "); keeping " << *dst;
-    return;
+  bool parsed = false;
+  if (knob.byte_size) {
+    auto bytes = ParseByteSize(text);
+    parsed = bytes.ok();
+    if (parsed) v = *bytes;
+  } else {
+    parsed = ParseInt64(StripWhitespace(text), &v);
   }
-  *dst = v;
-}
-
-/// Like EnvInt64 but the value is a byte size with an optional K/M/G
-/// suffix ("512M"), parsed by ParseByteSize.
-void EnvByteSize(const char* name, int64_t min_value, int64_t* dst) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return;
-  auto v = ParseByteSize(env);
-  if (!v.ok() || *v < min_value) {
-    PROBKB_SLOG(Engine, Warning)
-        << "ignoring " << name << "='" << env
-        << "' (expected a byte size >= " << min_value
-        << ", e.g. 268435456 or 256M); keeping " << *dst;
-    return;
+  if (!parsed || v < knob.min_value) {
+    return Status::InvalidArgument(StrFormat(
+        "%s wants %s >= %lld, got '%.*s'", knob.name,
+        knob.byte_size ? "a byte size (e.g. 256M)" : "an integer",
+        static_cast<long long>(knob.min_value),
+        static_cast<int>(text.size()), text.data()));
   }
-  *dst = *v;
-}
-
-/// The calibration workload: the same shape as the hot batched-hash loops
-/// (sequential int64 reads, a multiply-xor mix, a per-chunk reduction).
-/// Returns a sink value so the work cannot be optimized away.
-uint64_t MixRange(const int64_t* data, int64_t begin, int64_t end) {
-  uint64_t acc = 0x9e3779b97f4a7c15ULL;
-  for (int64_t i = begin; i < end; ++i) {
-    uint64_t x = static_cast<uint64_t>(data[i]) * 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 31;
-    acc ^= x + 0x9e3779b97f4a7c15ULL + (acc << 6) + (acc >> 2);
+  if (knob.pow2) {
+    int64_t pow2 = 1;
+    while (pow2 * 2 <= v && pow2 < 256) pow2 *= 2;
+    v = pow2;
   }
-  return acc;
-}
-
-constexpr const char* kCacheHeader = "probkb_tunables v1";
-
-int HardwareSignature() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  t->*knob.field = v;
+  return Status::OK();
 }
 
 }  // namespace
@@ -77,14 +83,15 @@ int HardwareSignature() {
 std::string Tunables::ToString() const {
   return StrFormat(
       "parallel_min_rows=%lld hash_chunk_rows=%lld morsel_rows=%lld "
-      "serial_fanout_row_cutoff=%lld max_build_partitions=%d "
+      "serial_fanout_row_cutoff=%lld max_build_partitions=%lld "
       "mem_budget_bytes=%lld spill_page_bytes=%lld "
       "grace_split_min_rows=%lld",
       static_cast<long long>(parallel_min_rows),
       static_cast<long long>(hash_chunk_rows),
       static_cast<long long>(morsel_rows),
       static_cast<long long>(serial_fanout_row_cutoff),
-      max_build_partitions, static_cast<long long>(mem_budget_bytes),
+      static_cast<long long>(max_build_partitions),
+      static_cast<long long>(mem_budget_bytes),
       static_cast<long long>(spill_page_bytes),
       static_cast<long long>(grace_split_min_rows));
 }
@@ -100,144 +107,25 @@ void SetTunables(const Tunables& t) {
 }
 
 Tunables ApplyTunablesEnv(Tunables base) {
-  EnvInt64("PROBKB_PARALLEL_MIN_ROWS", 1, &base.parallel_min_rows);
-  EnvInt64("PROBKB_HASH_CHUNK_ROWS", 64, &base.hash_chunk_rows);
-  EnvInt64("PROBKB_MORSEL_ROWS", 64, &base.morsel_rows);
-  EnvInt64("PROBKB_SERIAL_FANOUT_CUTOFF", 0,
-           &base.serial_fanout_row_cutoff);
-  int64_t parts = base.max_build_partitions;
-  EnvInt64("PROBKB_MAX_BUILD_PARTITIONS", 1, &parts);
-  // Keep the cap a power of two in [1, 256] — the partition router takes
-  // the top log2(parts) hash bits.
-  int pow2 = 1;
-  while (pow2 * 2 <= parts && pow2 < 256) pow2 *= 2;
-  base.max_build_partitions = pow2;
-  EnvByteSize("PROBKB_MEM_BUDGET", 0, &base.mem_budget_bytes);
-  EnvByteSize("PROBKB_SPILL_PAGE_BYTES", 4096, &base.spill_page_bytes);
-  EnvInt64("PROBKB_GRACE_SPLIT_MIN_ROWS", 1, &base.grace_split_min_rows);
+  for (const Knob& knob : kKnobs) {
+    const char* env = std::getenv(knob.env);
+    if (env == nullptr) continue;
+    if (Status st = ApplyKnob(knob, env, &base); !st.ok()) {
+      PROBKB_SLOG(Engine, Warning)
+          << "ignoring " << knob.env << ": " << st.message() << "; keeping "
+          << base.*knob.field;
+    }
+  }
   return base;
 }
 
-Tunables CalibrateTunables(int num_threads) {
-  Tunables t;
-  const int threads = ThreadPool::ResolveThreads(num_threads);
-  if (threads <= 1) {
-    // One executor: the pool can never win, so push every cutoff out of
-    // reach and run the exact serial path everywhere (the 1-hardware-
-    // thread bench host case).
-    t.parallel_min_rows = std::numeric_limits<int64_t>::max();
-    t.serial_fanout_row_cutoff = std::numeric_limits<int64_t>::max();
-    return t;
+Status SetTunableFromString(Tunables* t, std::string_view name,
+                            std::string_view text) {
+  for (const Knob& knob : kKnobs) {
+    if (knob.by_name && name == knob.name) return ApplyKnob(knob, text, t);
   }
-
-  ThreadPool pool(threads);
-  std::vector<int64_t> data(1 << 17);
-  std::iota(data.begin(), data.end(), int64_t{1});
-  volatile uint64_t sink = 0;
-
-  // Doubling sweep: the crossover is the smallest size where the pool beats
-  // the serial loop. Each side takes the best of 3 trials to shed scheduler
-  // noise; the parallel side uses the morsel grain the join probe uses.
-  int64_t crossover = -1;
-  for (int64_t size = 2048; size <= static_cast<int64_t>(data.size());
-       size *= 2) {
-    double serial_best = std::numeric_limits<double>::max();
-    double parallel_best = std::numeric_limits<double>::max();
-    for (int trial = 0; trial < 3; ++trial) {
-      Timer timer;
-      sink = sink + MixRange(data.data(), 0, size);
-      serial_best = std::min(serial_best, timer.Seconds());
-    }
-    for (int trial = 0; trial < 3; ++trial) {
-      Timer timer;
-      pool.ParallelFor(size, t.morsel_rows, [&](int64_t begin, int64_t end) {
-        sink = sink + MixRange(data.data(), begin, end);
-      });
-      parallel_best = std::min(parallel_best, timer.Seconds());
-    }
-    if (parallel_best < serial_best) {
-      crossover = size;
-      break;
-    }
-  }
-  if (crossover < 0) {
-    // The pool never won up to 128K rows: treat this host as serial-only.
-    t.parallel_min_rows = std::numeric_limits<int64_t>::max();
-    t.serial_fanout_row_cutoff = std::numeric_limits<int64_t>::max();
-  } else {
-    t.parallel_min_rows = crossover;
-    t.serial_fanout_row_cutoff = crossover;
-  }
-  return t;
-}
-
-bool LoadTunablesCache(const std::string& path, Tunables* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char header[64] = {0};
-  int hw = 0;
-  Tunables t;
-  long long pmr = 0, hcr = 0, mr = 0, sfc = 0;
-  int parts = 0;
-  const int matched = std::fscanf(
-      f,
-      "%63[^\n]\nhardware_threads %d\nparallel_min_rows %lld\n"
-      "hash_chunk_rows %lld\nmorsel_rows %lld\n"
-      "serial_fanout_row_cutoff %lld\nmax_build_partitions %d",
-      header, &hw, &pmr, &hcr, &mr, &sfc, &parts);
-  std::fclose(f);
-  if (matched != 7 || std::string(header) != kCacheHeader ||
-      hw != HardwareSignature() || pmr < 1 || hcr < 64 || mr < 64 ||
-      sfc < 0 || parts < 1) {
-    return false;
-  }
-  t.parallel_min_rows = pmr;
-  t.hash_chunk_rows = hcr;
-  t.morsel_rows = mr;
-  t.serial_fanout_row_cutoff = sfc;
-  t.max_build_partitions = parts;
-  *out = t;
-  return true;
-}
-
-Status SaveTunablesCache(const std::string& path, const Tunables& t) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IOError("cannot write tunables cache " + path);
-  }
-  std::fprintf(
-      f,
-      "%s\nhardware_threads %d\nparallel_min_rows %lld\n"
-      "hash_chunk_rows %lld\nmorsel_rows %lld\n"
-      "serial_fanout_row_cutoff %lld\nmax_build_partitions %d\n",
-      kCacheHeader, HardwareSignature(),
-      static_cast<long long>(t.parallel_min_rows),
-      static_cast<long long>(t.hash_chunk_rows),
-      static_cast<long long>(t.morsel_rows),
-      static_cast<long long>(t.serial_fanout_row_cutoff),
-      t.max_build_partitions);
-  std::fclose(f);
-  return Status::OK();
-}
-
-Tunables AutoTuneTunables(std::string cache_path) {
-  if (cache_path.empty()) {
-    const char* env = std::getenv("PROBKB_TUNABLES_CACHE");
-    cache_path = env != nullptr ? env : ".probkb_tunables";
-  }
-  Tunables t;
-  if (LoadTunablesCache(cache_path, &t)) {
-    PROBKB_SLOG(Engine, Info)
-        << "tunables from cache " << cache_path << ": " << t.ToString();
-    return t;
-  }
-  t = CalibrateTunables();
-  if (Status st = SaveTunablesCache(cache_path, t); !st.ok()) {
-    PROBKB_SLOG(Engine, Warning)
-        << "calibrated tunables not cached: " << st.ToString();
-  }
-  PROBKB_SLOG(Engine, Info) << "calibrated tunables: " << t.ToString();
-  return t;
+  return Status::InvalidArgument(StrFormat(
+      "unknown tunable '%.*s'", static_cast<int>(name.size()), name.data()));
 }
 
 }  // namespace probkb

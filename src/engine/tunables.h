@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
-#include "util/result.h"
+#include "util/status.h"
 
 namespace probkb {
 
@@ -30,11 +31,12 @@ inline constexpr int64_t kIndexBuildChunkRows = 4096;
 /// PR 5 hard-coded (kParallelMinRows / kHashChunkRows / morsel size /
 /// MppContext::kSerialFanoutRowCutoff / the build-partition cap).
 ///
-/// One struct, three sources, in priority order:
-///   1. explicit SetTunables() (CLI flags),
-///   2. PROBKB_* environment overrides (ApplyTunablesEnv),
-///   3. the compiled defaults below — or, with --auto_tune, the values
-///      CalibrateTunables measured on this host (cached to a file).
+/// One struct, two sources over the compiled defaults below, in priority
+/// order:
+///   1. explicit SetTunables() / SetTunableFromString() (CLI flags),
+///   2. PROBKB_* environment overrides (ApplyTunablesEnv).
+/// Both sources validate through one per-knob table (minimum value,
+/// power-of-two clamp), so a value one path rejects the other rejects too.
 ///
 /// Every knob only moves work between the serial and parallel paths of an
 /// operator; both paths are bit-identical by construction (DESIGN.md
@@ -55,7 +57,7 @@ struct Tunables {
   /// purely on fan-out overhead over tiny per-iteration deltas.
   int64_t serial_fanout_row_cutoff = 8192;
   /// Cap on hash-partitioned build parts in HashJoin (power of two).
-  int max_build_partitions = 16;
+  int64_t max_build_partitions = 16;
   /// Transient-memory budget for out-of-core execution, in bytes; 0
   /// disables spilling (pure in-memory). Covers the working set the
   /// operators allocate (pinned spill partitions, partition write
@@ -87,29 +89,19 @@ void SetTunables(const Tunables& t);
 /// PROBKB_MORSEL_ROWS / PROBKB_SERIAL_FANOUT_CUTOFF /
 /// PROBKB_MAX_BUILD_PARTITIONS / PROBKB_MEM_BUDGET /
 /// PROBKB_SPILL_PAGE_BYTES / PROBKB_GRACE_SPLIT_MIN_ROWS on top of
-/// `base`. Garbage values warn and keep the base value (the
-/// ResolveThreads contract). PROBKB_MEM_BUDGET and
+/// `base`. Garbage or below-minimum values warn and keep the base value
+/// (the ResolveThreads contract). PROBKB_MEM_BUDGET and
 /// PROBKB_SPILL_PAGE_BYTES accept K/M/G suffixes ("512M").
 Tunables ApplyTunablesEnv(Tunables base);
 
-/// \brief Measures this host's serial-vs-parallel crossover with a short
-/// microbench probe (batched hashing + morsel fan-out over synthetic rows
-/// at doubling sizes) and returns cutoffs set just above the largest size
-/// where serial still won. On a host with one hardware thread every
-/// cutoff is pushed to int64 max: the pool can never win, so every
-/// operator degrades to the exact serial path.
-Tunables CalibrateTunables(int num_threads = 0);
-
-/// \brief Cache of a calibration result keyed by a host signature
-/// (hardware thread count), so startup pays the probe once per host.
-/// LoadTunablesCache returns false on a missing/stale/foreign-host file.
-bool LoadTunablesCache(const std::string& path, Tunables* out);
-Status SaveTunablesCache(const std::string& path, const Tunables& t);
-
-/// \brief Resolves the calibration flow the CLI / bench harness use:
-/// cache hit wins, else calibrate and (best-effort) write the cache. The
-/// path defaults to $PROBKB_TUNABLES_CACHE, else ".probkb_tunables".
-Tunables AutoTuneTunables(std::string cache_path = "");
+/// \brief Sets the execution knob `name` (parallel_min_rows,
+/// hash_chunk_rows, morsel_rows, serial_fanout_row_cutoff or
+/// max_build_partitions) from `text` with the validation ApplyTunablesEnv
+/// applies to the matching variable. InvalidArgument on an unknown name,
+/// malformed text or a value below the knob's minimum; `*t` is untouched
+/// then.
+Status SetTunableFromString(Tunables* t, std::string_view name,
+                            std::string_view text);
 
 }  // namespace probkb
 

@@ -16,6 +16,12 @@ uint64_t BanKey(int64_t entity, int64_t cls) {
   return (static_cast<uint64_t>(entity) << 20) | static_cast<uint64_t>(cls);
 }
 
+/// Statement scope names are only built when something consumes them: an
+/// attached stats sink or the statement spans of an enabled tracer.
+bool NamesStatements(const StatsRegistry* obs) {
+  return obs != nullptr || Tracer::Global()->enabled();
+}
+
 }  // namespace
 
 std::string GroundingStats::ToString() const {
@@ -81,9 +87,11 @@ Status Grounder::CollectInferredAtoms(TablePtr probe1, TablePtr probe2,
     if (m->NumRows() == 0) continue;
     ExecContext ec;
     PROBKB_RETURN_NOT_OK(ArmStatement(&ec));
-    if (obs_ != nullptr) {
-      ec.set_stats_sink(obs_, StrFormat("iter%d/M%d", iteration, p));
-    }
+    const std::string scope = NamesStatements(obs_)
+                                  ? StrFormat("iter%d/M%d", iteration, p)
+                                  : std::string();
+    if (obs_ != nullptr) ec.set_stats_sink(obs_, scope);
+    TraceSpan statement(Tracer::Global(), scope.c_str(), "statement", p);
     Timer join_timer;
     const std::string stmt = StrFormat("Query1-%d", p);
     PlanNodePtr plan = BuildAtomsPlan(p, m, probe1, probe2);
@@ -92,6 +100,7 @@ Status Grounder::CollectInferredAtoms(TablePtr probe1, TablePtr probe2,
     AnnotatePlanEstimates(plan.get(), &planner_, stmt);
     PROBKB_ASSIGN_OR_RETURN(TablePtr atoms, plan->Execute(&ec));
     planner_.ObserveRows(stmt, atoms->NumRows());
+    statement.set_values(p, atoms->NumRows(), 0);
     explain_lines_.push_back(StrFormat("%s (iter %d):\n", stmt.c_str(),
                                        iteration) +
                              plan->Explain(1));
@@ -265,13 +274,15 @@ Result<TablePtr> Grounder::GroundFactors() {
     if (m->NumRows() == 0) continue;
     ExecContext ec;
     PROBKB_RETURN_NOT_OK(ArmStatement(&ec));
-    if (obs_ != nullptr) {
-      ec.set_stats_sink(obs_, StrFormat("query2/M%d", p));
-    }
+    const std::string scope =
+        NamesStatements(obs_) ? StrFormat("query2/M%d", p) : std::string();
+    if (obs_ != nullptr) ec.set_stats_sink(obs_, scope);
+    TraceSpan statement(Tracer::Global(), scope.c_str(), "statement", p);
     PROBKB_ASSIGN_OR_RETURN(
         TablePtr factors,
         GroundFactorsForPartition(p, m, rkb_->t_pi, rkb_->t_pi, rkb_->t_pi,
                                   &ec));
+    statement.set_values(p, factors->NumRows(), 0);
     // Bag union: Proposition 1 guarantees no duplicates within a
     // partition; duplicates across partitions are distinct deductions.
     t_phi->AppendTable(*factors);
@@ -281,8 +292,10 @@ Result<TablePtr> Grounder::GroundFactors() {
     ExecContext ec;
     PROBKB_RETURN_NOT_OK(ArmStatement(&ec));
     if (obs_ != nullptr) ec.set_stats_sink(obs_, "query2/singletons");
+    TraceSpan statement(Tracer::Global(), "query2/singletons", "statement");
     PROBKB_ASSIGN_OR_RETURN(TablePtr singletons,
                             SingletonFactors(rkb_->t_pi, &ec));
+    statement.set_values(0, singletons->NumRows(), 0);
     t_phi->AppendTable(*singletons);
     ++stats_.statements;
   }
@@ -305,9 +318,11 @@ Result<int64_t> Grounder::ApplyConstraints() {
   PROBKB_RETURN_NOT_OK(ArmStatement(&ec));
   if (obs_ != nullptr) ec.set_stats_sink(obs_, "query3");
   ++stats_.statements;
+  TraceSpan statement(Tracer::Global(), "query3", "statement");
   PROBKB_ASSIGN_OR_RETURN(
       TablePtr violators,
       FindConstraintViolators(rkb_->t_pi, rkb_->t_omega, &ec));
+  statement.set_values(0, violators->NumRows(), 0);
   // Record permanent bans so deleted entities are not re-derived.
   auto viol_x = Table::Make(violators->schema());
   auto viol_y = Table::Make(violators->schema());

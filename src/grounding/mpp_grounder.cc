@@ -1,6 +1,7 @@
 #include "grounding/mpp_grounder.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "engine/ops.h"
@@ -132,6 +133,19 @@ namespace {
 uint64_t BanKey(int64_t entity, int64_t cls) {
   PROBKB_DCHECK(cls >= 0 && cls < (1 << 20));
   return (static_cast<uint64_t>(entity) << 20) | static_cast<uint64_t>(cls);
+}
+
+/// Modelled interconnect time of the steps accounted since `first_step`,
+/// in microseconds. Compute steps are skipped: they carry measured wall
+/// time, and span payloads must stay deterministic.
+int64_t ModelledMotionMicros(const MppCost& cost, size_t first_step) {
+  double seconds = 0.0;
+  for (size_t i = first_step; i < cost.steps().size(); ++i) {
+    if (cost.steps()[i].kind != MppStep::Kind::kCompute) {
+      seconds += cost.steps()[i].seconds;
+    }
+  }
+  return std::llround(seconds * 1e6);
 }
 
 }  // namespace
@@ -295,8 +309,19 @@ Result<int64_t> MppGrounder::GroundAtomsIteration() {
   for (int p = 1; p <= kNumRuleStructures; ++p) {
     if (m_[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
     const double partition_start = ctx_.cost().simulated_seconds();
+    // One statement span per M_p on real wall time; the modelled motion
+    // time rides along as payload c (microseconds) only.
+    const size_t first_step = ctx_.cost().steps().size();
+    const std::string scope = Tracer::Global()->enabled()
+                                  ? StrFormat("iter%d/M%d", iteration, p)
+                                  : std::string();
+    TraceSpan statement(Tracer::Global(), scope.c_str(), "statement", p);
     PROBKB_ASSIGN_OR_RETURN(DistributedTablePtr atoms,
                             GroundAtomsPartition(p));
+    if (statement.active()) {
+      statement.set_values(p, atoms->NumRows(),
+                           ModelledMotionMicros(ctx_.cost(), first_step));
+    }
     if (obs_ != nullptr) {
       obs_->RecordPartitionIteration(
           iteration, p, atoms->NumRows(),

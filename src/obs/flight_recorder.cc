@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
 #include "util/strings.h"
 
@@ -55,98 +54,32 @@ std::string FrRecord::ToText() const {
   return line;
 }
 
-namespace {
-std::atomic<uint64_t> g_next_recorder_id{1};
-}  // namespace
-
-FlightRecorder::FlightRecorder(size_t capacity)
-    : id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
-      capacity_(capacity == 0 ? 1 : capacity) {}
-
-FlightRecorder::~FlightRecorder() = default;
-
 FlightRecorder* FlightRecorder::Global() {
   // Leaked: worker threads may outlive main() teardown order.
   static FlightRecorder* recorder = new FlightRecorder();
   return recorder;
 }
 
-FlightRecorder::Ring* FlightRecorder::LocalRing() {
-  // One cached Ring* per (thread, recorder instance); keyed by the
-  // never-reused id so tests with private recorders can't cross-
-  // contaminate the global one or revive a dead recorder's ring.
-  struct Cache {
-    uint64_t owner_id = 0;
-    Ring* ring = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.owner_id == id_) return cache.ring;
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<Ring>(capacity_));
-  cache.owner_id = id_;
-  cache.ring = rings_.back().get();
-  return cache.ring;
-}
-
 void FlightRecorder::Record(FrEvent event, std::string_view detail, int64_t a,
                             int64_t b, int64_t c) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  Ring* ring = LocalRing();
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  FrRecord& slot = ring->slots[head % capacity_];
-  slot.seq = seq;
-  slot.event = event;
-  slot.a = a;
-  slot.b = b;
-  slot.c = c;
-  const size_t n = std::min(detail.size(), sizeof(slot.detail) - 1);
-  std::memcpy(slot.detail, detail.data(), n);
-  slot.detail[n] = '\0';
-  // Publish the slot: the release pairs with the acquire in
-  // MergedTimeline, so a reader that observes this head sees the record.
-  ring->head.store(head + 1, std::memory_order_release);
-}
-
-void FlightRecorder::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Keep the Ring allocations alive — threads hold cached pointers into
-  // them — and just forget their contents.
-  for (auto& ring : rings_) {
-    ring->head.store(0, std::memory_order_release);
-  }
-  next_seq_.store(0, std::memory_order_relaxed);
+  FrRecord record;
+  record.event = event;
+  record.a = a;
+  record.b = b;
+  record.c = c;
+  const size_t n = std::min(detail.size(), sizeof(record.detail) - 1);
+  std::memcpy(record.detail, detail.data(), n);
+  rings_.Append(record);
 }
 
 std::vector<FrRecord> FlightRecorder::MergedTimeline(size_t last_n) const {
-  std::vector<FrRecord> merged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& ring : rings_) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      const uint64_t kept = std::min<uint64_t>(head, capacity_);
-      for (uint64_t i = head - kept; i < head; ++i) {
-        merged.push_back(ring->slots[i % capacity_]);
-      }
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const FrRecord& x, const FrRecord& y) { return x.seq < y.seq; });
+  std::vector<FrRecord> merged = rings_.Merged();
   if (last_n > 0 && merged.size() > last_n) {
     merged.erase(merged.begin(),
                  merged.end() - static_cast<ptrdiff_t>(last_n));
   }
   return merged;
-}
-
-int64_t FlightRecorder::dropped_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t dropped = 0;
-  for (const auto& ring : rings_) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    if (head > capacity_) dropped += static_cast<int64_t>(head - capacity_);
-  }
-  return dropped;
 }
 
 std::string FlightRecorder::DumpText(size_t last_n) const {
@@ -180,26 +113,11 @@ std::string FlightRecorder::DumpJson(size_t last_n) const {
         "\"c\": %lld, \"detail\": \"%s\"}",
         static_cast<unsigned long long>(record.seq), FrEventName(record.event),
         static_cast<long long>(record.a), static_cast<long long>(record.b),
-        static_cast<long long>(record.c), record.detail);
+        static_cast<long long>(record.c), JsonEscape(record.detail).c_str());
   }
   out += first ? "]\n" : "\n  ]\n";
   out += "}\n";
   return out;
-}
-
-Status FlightRecorder::WriteDump(const std::string& path,
-                                 size_t last_n) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open post-mortem file '" + path +
-                           "' for write");
-  }
-  out << DumpJson(last_n);
-  out.close();
-  if (!out) {
-    return Status::IOError("failed writing post-mortem file '" + path + "'");
-  }
-  return Status::OK();
 }
 
 }  // namespace probkb

@@ -3,13 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/status.h"
+#include "obs/ring.h"
 
 namespace probkb {
 
@@ -54,19 +52,12 @@ struct FrRecord {
   std::string ToText() const;
 };
 
-/// \brief Lock-free per-thread ring-buffer journal of pipeline milestones.
-///
-/// Each thread writes to its own fixed-capacity ring (registered on first
-/// use; registration is the only locked path), so recording is a relaxed
-/// fetch_add for the global sequence number plus a store into thread-local
-/// slots — no contention, no allocation, near-zero cost on hot paths. The
-/// last `capacity` events per thread survive; older ones are overwritten
-/// (a flight recorder keeps the tail of the story, not the whole book).
-///
-/// MergedTimeline() collects every ring and sorts by sequence number.
-/// Readers are expected to run after the recorded activity settles (end of
-/// run, post-mortem on failure); per-ring heads are released/acquired so a
-/// settled writer's records are visible.
+/// \brief Ring-buffer journal of pipeline milestones on the shared
+/// per-thread sequence-stamped rings (obs/ring.h): recording is a relaxed
+/// fetch_add plus a store into thread-local slots — no contention, no
+/// allocation, near-zero cost on hot paths. The last `capacity` events per
+/// thread survive (a flight recorder keeps the tail of the story, not the
+/// whole book).
 ///
 /// The process-global instance (Global()) is enabled by default and fed by
 /// the MPP motions, the fault injector, checkpoint commits, fixpoint
@@ -77,8 +68,8 @@ class FlightRecorder {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
 
-  explicit FlightRecorder(size_t capacity = kDefaultCapacity);
-  ~FlightRecorder();
+  explicit FlightRecorder(size_t capacity = kDefaultCapacity)
+      : rings_(capacity) {}
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -99,14 +90,14 @@ class FlightRecorder {
 
   /// \brief Drops all recorded events and restarts sequence numbering.
   /// Call only while no thread is concurrently recording (between runs).
-  void Reset();
+  void Reset() { rings_.Reset(); }
 
   /// \brief All surviving events in sequence order; `last_n` > 0 keeps
   /// only the newest n.
   std::vector<FrRecord> MergedTimeline(size_t last_n = 0) const;
 
   /// \brief Events overwritten by ring wrap-around (lost to the dump).
-  int64_t dropped_events() const;
+  int64_t dropped_events() const { return rings_.dropped(); }
 
   /// \brief Human-readable timeline (one event per line, sequence-stamped).
   std::string DumpText(size_t last_n = 0) const;
@@ -114,32 +105,9 @@ class FlightRecorder {
   /// \brief The timeline as a JSON document.
   std::string DumpJson(size_t last_n = 0) const;
 
-  /// \brief Writes DumpJson to `path`.
-  Status WriteDump(const std::string& path, size_t last_n = 0) const;
-
  private:
-  struct Ring {
-    explicit Ring(size_t capacity) : slots(capacity) {}
-    std::vector<FrRecord> slots;
-    /// Records ever written by the owning thread; slots hold the last
-    /// min(head, capacity) of them.
-    std::atomic<uint64_t> head{0};
-  };
-
-  Ring* LocalRing();
-
-  /// Never-reused instance id; the thread-local ring cache keys on it so a
-  /// recorder allocated at a dead recorder's address cannot resurrect a
-  /// stale cached Ring*.
-  const uint64_t id_;
-  const size_t capacity_;
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> next_seq_{0};
-  /// Registration is append-only and rings are never deallocated before
-  /// the recorder itself, so a thread's cached Ring* stays valid across
-  /// Reset() (which only zeroes heads).
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  SeqRings<FrRecord> rings_;
 };
 
 }  // namespace probkb

@@ -1,7 +1,6 @@
 #ifndef PROBKB_OBS_STATS_REGISTRY_H_
 #define PROBKB_OBS_STATS_REGISTRY_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "obs/histogram.h"
-#include "util/status.h"
 
 namespace probkb {
 
@@ -117,13 +115,11 @@ struct GibbsChainStats {
 /// caller. Recording never influences execution: it runs after every
 /// budget/fault gate and only copies values out.
 ///
-/// When the PROBKB_TRACE environment variable names a file at construction
-/// time, every operator / motion / partition record additionally captures a
-/// Chrome-trace "complete" event (phase "X"); WriteTraceIfEnabled() emits
-/// the chrome://tracing-loadable JSON.
+/// The registry counts; the timeline lives in the Tracer. While
+/// Tracer::Global() is enabled, every RecordOp also becomes an operator
+/// span under the calling thread's open statement span.
 class StatsRegistry {
  public:
-  StatsRegistry();
 
   /// \brief Appends one operator record to `scope`'s statement (created on
   /// first use) and folds it into the per-label totals.
@@ -212,8 +208,6 @@ class StatsRegistry {
   /// gibbs chains).
   std::string ToJson() const;
 
-  Status WriteJsonFile(const std::string& path) const;
-
   /// \brief Counters and latency-histogram quantiles in Prometheus text
   /// exposition format: `probkb_<counter>_total` counters, a
   /// `probkb_latency_seconds` summary per series (quantile 0.5/0.95/0.99
@@ -222,27 +216,7 @@ class StatsRegistry {
   /// snapshots this on every poll.
   std::string ToPrometheusText() const;
 
-  /// \brief True when PROBKB_TRACE was set at construction.
-  bool trace_enabled() const { return !trace_path_.empty(); }
-  const std::string& trace_path() const { return trace_path_; }
-
-  /// \brief Writes the Chrome-trace JSON to the PROBKB_TRACE path; no-op
-  /// (OK) when tracing is off.
-  Status WriteTraceIfEnabled() const;
-
  private:
-  struct TraceEvent {
-    std::string name;
-    std::string category;
-    int64_t ts_us = 0;   // start, microseconds since registry construction
-    int64_t dur_us = 0;
-    int lane = 0;        // rendered as the Chrome-trace tid
-  };
-
-  /// Captures a span that ended "now" and lasted `seconds`.
-  void Trace(const std::string& name, const std::string& category,
-             double seconds, int lane);
-
   std::vector<StatementTrace> statements_;
   std::unordered_map<std::string, size_t> statement_index_;
   std::vector<OpTotals> op_totals_;
@@ -259,10 +233,6 @@ class StatsRegistry {
   std::unordered_map<std::string, size_t> latency_index_;
   std::vector<std::pair<std::string, int64_t>> counters_;
   std::unordered_map<std::string, size_t> counter_index_;
-
-  std::string trace_path_;
-  std::vector<TraceEvent> trace_events_;
-  std::chrono::steady_clock::time_point trace_base_;
 };
 
 }  // namespace probkb

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,8 +12,6 @@
 namespace probkb {
 
 namespace {
-
-std::atomic<uint64_t> g_next_tracer_id{1};
 
 /// splitmix64 finalizer: the bijective mixer all trace/span identity is
 /// derived through. Deterministic, seedable, and collision-resistant
@@ -46,6 +43,7 @@ void CopyTag(char* dst, size_t dst_size, const char* src) {
 struct OpenEntry {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
+  int64_t start_us = 0;
 };
 struct ThreadStack {
   uint64_t owner_id = 0;
@@ -60,12 +58,7 @@ ThreadStack& LocalStack() {
 }  // namespace
 
 Tracer::Tracer(uint64_t seed, size_t capacity)
-    : id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)),
-      capacity_(capacity == 0 ? 1 : capacity),
-      seed_(seed),
-      base_us_(NowUs()) {}
-
-Tracer::~Tracer() = default;
+    : seed_(seed), base_us_(NowUs()), rings_(capacity) {}
 
 Tracer* Tracer::Global() {
   // Leaked: reader threads may outlive main() teardown order.
@@ -79,30 +72,16 @@ int64_t Tracer::NowUs() {
   return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
 }
 
-Tracer::Ring* Tracer::LocalRing() {
-  struct Cache {
-    uint64_t owner_id = 0;
-    Ring* ring = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.owner_id == id_) return cache.ring;
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<Ring>(capacity_));
-  cache.owner_id = id_;
-  cache.ring = rings_.back().get();
-  return cache.ring;
-}
-
 Tracer::Context Tracer::current_context() const {
   const ThreadStack& ts = LocalStack();
-  if (ts.owner_id != id_ || ts.stack.empty()) return {};
+  if (ts.owner_id != rings_.id() || ts.stack.empty()) return {};
   return {ts.stack.back().trace_id, ts.stack.back().span_id};
 }
 
-Tracer::OpenSpan Tracer::PushSpan() {
+Tracer::OpenSpan Tracer::PushSpan(int64_t start_us) {
   ThreadStack& ts = LocalStack();
-  if (ts.owner_id != id_) {
-    ts.owner_id = id_;
+  if (ts.owner_id != rings_.id()) {
+    ts.owner_id = rings_.id();
     ts.stack.clear();
     ts.span_ordinal = 0;
   }
@@ -120,7 +99,7 @@ Tracer::OpenSpan Tracer::PushSpan() {
   }
   open.span_id = Mix64(open.trace_id ^ Mix64(++ts.span_ordinal));
   if (open.span_id == 0) open.span_id = 1;
-  ts.stack.push_back({open.trace_id, open.span_id});
+  ts.stack.push_back({open.trace_id, open.span_id, start_us});
   return open;
 }
 
@@ -128,7 +107,7 @@ void Tracer::PopSpan(const OpenSpan& span, const char* name,
                      const char* category, int64_t a, int64_t b, int64_t c,
                      int64_t start_us, int64_t dur_us) {
   ThreadStack& ts = LocalStack();
-  if (ts.owner_id == id_) {
+  if (ts.owner_id == rings_.id()) {
     // RAII spans unwind LIFO; tolerate an out-of-order End() by popping
     // down to (and including) the closing span.
     while (!ts.stack.empty()) {
@@ -150,18 +129,23 @@ void Tracer::PopSpan(const OpenSpan& span, const char* name,
   record.dur_us = dur_us < 0 ? 0 : dur_us;
   CopyTag(record.name, sizeof(record.name), name);
   CopyTag(record.category, sizeof(record.category), category);
-  Emit(record);
+  rings_.Append(record);
 }
 
-void Tracer::Emit(const SpanRecord& record) {
-  Ring* ring = LocalRing();
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  SpanRecord& slot = ring->slots[head % capacity_];
-  slot = record;
-  slot.seq = seq;
-  // Publish the slot: pairs with the acquire in CollectSpans.
-  ring->head.store(head + 1, std::memory_order_release);
+void Tracer::RecordCompleted(const char* name, const char* category,
+                             int64_t a, int64_t b, int64_t c,
+                             int64_t dur_us) {
+  if (!enabled_.load(std::memory_order_relaxed)) return;
+  const int64_t end_us = NowUs() - base_us_;
+  int64_t start_us = end_us - std::max<int64_t>(dur_us, 0);
+  // Clamp into the parent: the work's own timer started after the parent
+  // opened, but the two clocks round to microseconds independently.
+  const ThreadStack& ts = LocalStack();
+  if (ts.owner_id == rings_.id() && !ts.stack.empty()) {
+    start_us = std::max(start_us, ts.stack.back().start_us);
+  }
+  PopSpan(PushSpan(start_us), name, category, a, b, c, start_us,
+          end_us - start_us);
 }
 
 void Tracer::RecordWorkerSpan(uint64_t trace_id, uint64_t parent_id,
@@ -189,35 +173,16 @@ void Tracer::RecordWorkerSpan(uint64_t trace_id, uint64_t parent_id,
   record.dur_us = dur_us < 0 ? 0 : dur_us;
   CopyTag(record.name, sizeof(record.name), kind);
   CopyTag(record.category, sizeof(record.category), "worker");
-  Emit(record);
+  rings_.Append(record);
 }
 
 void Tracer::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Keep Ring allocations alive — threads hold cached pointers into them.
-  for (auto& ring : rings_) {
-    ring->head.store(0, std::memory_order_release);
-  }
-  next_seq_.store(0, std::memory_order_relaxed);
+  rings_.Reset();
   next_trace_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord> Tracer::CollectSpans() const {
-  std::vector<SpanRecord> merged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& ring : rings_) {
-      const uint64_t head = ring->head.load(std::memory_order_acquire);
-      const uint64_t kept = std::min<uint64_t>(head, capacity_);
-      for (uint64_t i = head - kept; i < head; ++i) {
-        merged.push_back(ring->slots[i % capacity_]);
-      }
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const SpanRecord& x, const SpanRecord& y) {
-              return x.seq < y.seq;
-            });
+  const std::vector<SpanRecord> merged = rings_.Merged();
   // Dedup by (trace, span): first occurrence wins. Only derived worker
   // span ids can repeat (respawn re-handling), and their payloads match.
   std::unordered_set<uint64_t> seen;
@@ -256,16 +221,6 @@ std::vector<SpanRecord> Tracer::CollectSpans() const {
   return unique;
 }
 
-int64_t Tracer::dropped_spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t dropped = 0;
-  for (const auto& ring : rings_) {
-    const uint64_t head = ring->head.load(std::memory_order_acquire);
-    if (head > capacity_) dropped += static_cast<int64_t>(head - capacity_);
-  }
-  return dropped;
-}
-
 std::string Tracer::CanonicalText() const {
   const std::vector<SpanRecord> spans = CollectSpans();
   std::string out;
@@ -299,10 +254,11 @@ std::string Tracer::DumpJsonl() const {
         static_cast<unsigned long long>(record.seq),
         static_cast<unsigned long long>(record.trace_id),
         static_cast<unsigned long long>(record.span_id),
-        static_cast<unsigned long long>(record.parent_id), record.name,
-        record.category, static_cast<long long>(record.a),
-        static_cast<long long>(record.b), static_cast<long long>(record.c),
-        record.segment, static_cast<long long>(record.start_us),
+        static_cast<unsigned long long>(record.parent_id),
+        JsonEscape(record.name).c_str(), JsonEscape(record.category).c_str(),
+        static_cast<long long>(record.a), static_cast<long long>(record.b),
+        static_cast<long long>(record.c), record.segment,
+        static_cast<long long>(record.start_us),
         static_cast<long long>(record.dur_us));
   }
   return out;
@@ -322,7 +278,8 @@ std::string Tracer::DumpChromeJson() const {
         "{\"trace_id\": \"%016llx\", \"span_id\": \"%016llx\", "
         "\"parent_id\": \"%016llx\", \"a\": %lld, \"b\": %lld, \"c\": "
         "%lld}}",
-        record.name, record.category, static_cast<long long>(ts),
+        JsonEscape(record.name).c_str(), JsonEscape(record.category).c_str(),
+        static_cast<long long>(ts),
         static_cast<long long>(record.dur_us),
         record.segment >= 0 ? record.segment + 1 : 0,
         static_cast<unsigned long long>(record.trace_id),
@@ -335,30 +292,8 @@ std::string Tracer::DumpChromeJson() const {
   return out;
 }
 
-namespace {
-Status WriteFileOrError(const std::string& path, const std::string& body,
-                        const char* what) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IOError(std::string("cannot open ") + what + " file '" +
-                           path + "' for write");
-  }
-  out << body;
-  out.close();
-  if (!out) {
-    return Status::IOError(std::string("failed writing ") + what + " file '" +
-                           path + "'");
-  }
-  return Status::OK();
-}
-}  // namespace
-
 Status Tracer::WriteJsonl(const std::string& path) const {
-  return WriteFileOrError(path, DumpJsonl(), "trace");
-}
-
-Status Tracer::WriteChromeTrace(const std::string& path) const {
-  return WriteFileOrError(path, DumpChromeJson(), "trace");
+  return WriteTextFile(path, DumpJsonl(), "trace");
 }
 
 TraceSpan::TraceSpan(Tracer* tracer, const char* name, const char* category,
@@ -370,8 +305,8 @@ TraceSpan::TraceSpan(Tracer* tracer, const char* name, const char* category,
       b_(b),
       c_(c) {
   if (tracer_ == nullptr || !tracer_->enabled()) return;
-  open_ = tracer_->PushSpan();
   start_us_ = Tracer::NowUs();
+  open_ = tracer_->PushSpan(start_us_ - tracer_->base_us());
   active_ = true;
 }
 

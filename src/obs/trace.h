@@ -3,11 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/ring.h"
 #include "util/status.h"
 
 namespace probkb {
@@ -34,9 +33,10 @@ struct SpanRecord {
   char category[16] = {0};
 };
 
-/// \brief Distributed tracer: per-thread lock-free span rings (same
-/// registration/publication discipline as the flight recorder) plus
-/// deterministic trace/span identity.
+/// \brief Distributed tracer: the program's one span substrate and its only
+/// Chrome-trace exporter. Spans live on the per-thread sequence-stamped
+/// rings the flight recorder also uses (obs/ring.h); identity is
+/// deterministic.
 ///
 /// Identity is derived, never drawn from clocks or PIDs: a trace id mixes
 /// the tracer seed with a global trace ordinal, a span id mixes the trace
@@ -65,7 +65,6 @@ class Tracer {
 
   explicit Tracer(uint64_t seed = kDefaultSeed,
                   size_t capacity = kDefaultCapacity);
-  ~Tracer();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -103,6 +102,13 @@ class Tracer {
                         int32_t segment, const char* kind, int64_t bytes,
                         int64_t start_abs_us, int64_t dur_us);
 
+  /// \brief Records a span that ended now after `dur_us`, as a child of
+  /// the calling thread's innermost open span (a trace root when none is
+  /// open). For work timed by its own clock and reported on completion —
+  /// operators closing in post-order under their statement span.
+  void RecordCompleted(const char* name, const char* category, int64_t a,
+                       int64_t b, int64_t c, int64_t dur_us);
+
   /// \brief Drops all spans and restarts sequence/trace numbering. Call
   /// only while no span is open on any thread (between runs).
   void Reset();
@@ -113,7 +119,7 @@ class Tracer {
   std::vector<SpanRecord> CollectSpans() const;
 
   /// \brief Spans overwritten by ring wrap-around (lost to the dump).
-  int64_t dropped_spans() const;
+  int64_t dropped_spans() const { return rings_.dropped(); }
 
   /// \brief Deterministic-fields-only dump: ids, names, payloads — no
   /// timing, no worker spans (those are process-runtime physical evidence
@@ -130,16 +136,9 @@ class Tracer {
   std::string DumpChromeJson() const;
 
   Status WriteJsonl(const std::string& path) const;
-  Status WriteChromeTrace(const std::string& path) const;
 
  private:
   friend class TraceSpan;
-
-  struct Ring {
-    explicit Ring(size_t capacity) : slots(capacity) {}
-    std::vector<SpanRecord> slots;
-    std::atomic<uint64_t> head{0};
-  };
 
   /// What TraceSpan needs to close a span: its identity plus the parent
   /// captured at open time.
@@ -149,24 +148,18 @@ class Tracer {
     uint64_t parent_id = 0;
   };
 
-  OpenSpan PushSpan();
+  /// Opens a span that started at `start_us` (relative to base_us()).
+  OpenSpan PushSpan(int64_t start_us);
   void PopSpan(const OpenSpan& span, const char* name, const char* category,
                int64_t a, int64_t b, int64_t c, int64_t start_us,
                int64_t dur_us);
-  void Emit(const SpanRecord& record);
-  Ring* LocalRing();
 
-  /// Never-reused instance id; thread-local ring and stack caches key on
-  /// it (same hazard as FlightRecorder::LocalRing).
-  const uint64_t id_;
-  const size_t capacity_;
   const uint64_t seed_;
   const int64_t base_us_;
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> next_seq_{0};
   std::atomic<uint64_t> next_trace_{0};
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  /// The thread-local open-span stack keys on rings_.id().
+  SeqRings<SpanRecord> rings_;
 };
 
 /// \brief RAII span. Opens on construction (no-op when tracing is off),

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <vector>
 
+#include "util/strings.h"
+
 namespace probkb {
 
 namespace {
@@ -29,39 +31,6 @@ struct SinkState {
 SinkState& Sinks() {
   static SinkState* state = new SinkState();  // leaked: outlives all threads
   return *state;
-}
-
-std::string JsonEscapeLog(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string ToJsonLine(const LogRecord& record) {
@@ -86,7 +55,7 @@ std::string ToJsonLine(const LogRecord& record) {
   std::snprintf(buf, sizeof(buf), ":%d", record.line);
   out += buf;
   out += "\", \"msg\": \"";
-  out += JsonEscapeLog(record.message);
+  out += JsonEscape(record.message);
   out += "\"}";
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cerrno>
+#include <fstream>
 
 namespace probkb {
 
@@ -90,6 +91,53 @@ BoundedInt64 ParseBoundedInt64(std::string_view text, int64_t fallback,
     out.value = parsed;
   }
   return out;
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+Status WriteTextFile(const std::string& path, std::string_view body,
+                     const char* what) {
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    return Status::IOError(std::string("cannot open ") + what + " file '" +
+                           path + "' for write");
+  }
+  out << body;
+  out.close();
+  if (!out) {
+    return Status::IOError(std::string("failed writing ") + what + " file '" +
+                           path + "'");
+  }
+  return Status::OK();
 }
 
 std::string StrFormat(const char* fmt, ...) {

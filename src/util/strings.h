@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace probkb {
 
 /// \brief Splits `input` on `sep`, keeping empty fields.
@@ -44,6 +46,16 @@ struct BoundedInt64 {
 /// on .malformed / .clamped.
 BoundedInt64 ParseBoundedInt64(std::string_view text, int64_t fallback,
                                int64_t min_value, int64_t max_value);
+
+/// \brief Escapes `s` for use inside a JSON string literal (quotes,
+/// backslashes and control characters).
+std::string JsonEscape(std::string_view s);
+
+/// \brief Writes `body` to `path`, truncating; an IOError names `what`
+/// (e.g. "trace") and the path on failure. The one writer behind every
+/// dump file (stats JSON, traces, post-mortems).
+Status WriteTextFile(const std::string& path, std::string_view body,
+                     const char* what);
 
 /// \brief Formats with printf semantics into a std::string.
 std::string StrFormat(const char* fmt, ...)

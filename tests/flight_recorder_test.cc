@@ -14,6 +14,7 @@
 #include "mpp/mpp_context.h"
 #include "obs/flight_recorder.h"
 #include "tests/test_util.h"
+#include "util/strings.h"
 
 namespace probkb {
 namespace {
@@ -127,6 +128,11 @@ TEST(FlightRecorderTest, DumpShapesAreWellFormed) {
   EXPECT_NE(json.find("\"event\": \"motion_begin\""), std::string::npos);
   EXPECT_NE(json.find("\"detail\": \"broadcast\""), std::string::npos);
 
+  // Details are escaped, so a quote cannot break the document.
+  rec.Record(FrEvent::kMotionBegin, "say \"hi\"", 4);
+  EXPECT_NE(rec.DumpJson().find("\"detail\": \"say \\\"hi\\\"\""),
+            std::string::npos);
+
   // Empty recorder still yields valid scaffolding.
   FlightRecorder empty(4);
   EXPECT_NE(empty.DumpText().find("(0 events)"), std::string::npos);
@@ -137,14 +143,16 @@ TEST(FlightRecorderTest, WriteDumpRoundTrips) {
   FlightRecorder rec(/*capacity=*/8);
   rec.Record(FrEvent::kRetryAttempt, "", 5, 1, 2);
   const std::string path = FreshPath("dump.json");
-  ASSERT_TRUE(rec.WriteDump(path).ok());
+  ASSERT_TRUE(WriteTextFile(path, rec.DumpJson(), "post-mortem").ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
   EXPECT_EQ(buffer.str(), rec.DumpJson());
 
-  EXPECT_FALSE(rec.WriteDump("/nonexistent-dir/x/y.json").ok());
+  EXPECT_FALSE(
+      WriteTextFile("/nonexistent-dir/x/y.json", rec.DumpJson(), "post-mortem")
+          .ok());
 }
 
 // --- Pipeline instrumentation under chaos --------------------------------------
@@ -315,13 +323,8 @@ TEST(FlightRecorderChaosTest, TerminalFailureDumpContainsEveryFaultAndRetry) {
   EXPECT_EQ(failed[0].b, retry.max_attempts);
   EXPECT_TRUE(EventsOfKind(timeline, FrEvent::kMotionRecovered).empty());
 
-  // The post-mortem file a CLI run would write carries the full story.
-  const std::string path = FreshPath("terminal_post_mortem.json");
-  ASSERT_TRUE(rec->WriteDump(path).ok());
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string dump = buffer.str();
+  // The post-mortem a CLI run would write carries the full story.
+  const std::string dump = rec->DumpJson();
   EXPECT_NE(dump.find("\"fault_injected\""), std::string::npos);
   EXPECT_NE(dump.find("\"retry_attempt\""), std::string::npos);
   EXPECT_NE(dump.find("\"motion_failed\""), std::string::npos);

@@ -1,14 +1,10 @@
 // StatsRegistry unit tests: post-order tree reconstruction, per-label
-// aggregation, motion/partition merging, JSON shape, Chrome-trace export,
-// and the ExecContext stats-sink plumbing on a real plan.
+// aggregation, motion/partition merging, JSON shape, and the ExecContext
+// stats-sink plumbing on a real plan.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,14 +28,6 @@ OpRecord MakeOp(const std::string& label, int64_t rows_in, int64_t rows_out,
   op.seconds = 0.001;
   op.num_children = num_children;
   return op;
-}
-
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 TEST(StatsRegistryTest, PostOrderRecordsRebuildThePlanTree) {
@@ -169,31 +157,6 @@ TEST(StatsRegistryTest, JsonCarriesEverySectionAndEscapes) {
   // The quote inside the scope must arrive escaped.
   EXPECT_NE(json.find("scope \\\"x\\\""), std::string::npos) << json;
   EXPECT_EQ(json.find("scope \"x\""), std::string::npos);
-}
-
-TEST(StatsRegistryTest, TraceEnvTogglesChromeTraceExport) {
-  const std::string path =
-      ::testing::TempDir() + "/probkb_obs_trace_test.json";
-  std::filesystem::remove(path);
-  setenv("PROBKB_TRACE", path.c_str(), 1);
-  {
-    StatsRegistry registry;
-    ASSERT_TRUE(registry.trace_enabled());
-    EXPECT_EQ(registry.trace_path(), path);
-    registry.RecordOp("q", MakeOp("Scan T", 2, 2, 0));
-    registry.RecordMotion("m", "gather", 4, 32, 0.01, {});
-    ASSERT_TRUE(registry.WriteTraceIfEnabled().ok());
-  }
-  unsetenv("PROBKB_TRACE");
-  const std::string trace = ReadFileOrDie(path);
-  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(trace.find("Scan T"), std::string::npos);
-
-  // Without the env var, tracing is off and the write is a no-op.
-  StatsRegistry off;
-  EXPECT_FALSE(off.trace_enabled());
-  EXPECT_TRUE(off.WriteTraceIfEnabled().ok());
 }
 
 // --- ExecContext sink plumbing -------------------------------------------------

@@ -254,33 +254,35 @@ TEST_F(TunablesTest, GarbageEnvValuesKeepBase) {
   EXPECT_EQ(t.hash_chunk_rows, base.hash_chunk_rows);
 }
 
-TEST_F(TunablesTest, CacheRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/probkb_tunables_cache";
-  std::filesystem::remove(path);
-
-  Tunables missing;
-  EXPECT_FALSE(LoadTunablesCache(path, &missing));
-
+TEST_F(TunablesTest, NamedOverridesShareTheEnvValidator) {
   Tunables t;
-  t.parallel_min_rows = 31337;
-  t.serial_fanout_row_cutoff = 77;
-  ASSERT_TRUE(SaveTunablesCache(path, t).ok());
-  Tunables loaded;
-  ASSERT_TRUE(LoadTunablesCache(path, &loaded));
-  EXPECT_EQ(loaded, t);
+  ASSERT_TRUE(SetTunableFromString(&t, "parallel_min_rows", "4096").ok());
+  EXPECT_EQ(t.parallel_min_rows, 4096);
+  // The power-of-two clamp rounds down into [1, 256] instead of wrapping.
+  ASSERT_TRUE(
+      SetTunableFromString(&t, "max_build_partitions", "4294967297").ok());
+  EXPECT_EQ(t.max_build_partitions, 256);
+  ASSERT_TRUE(SetTunableFromString(&t, "max_build_partitions", "12").ok());
+  EXPECT_EQ(t.max_build_partitions, 8);
 
-  // A corrupted header is rejected, not half-parsed.
-  { std::ofstream f(path, std::ios::trunc); f << "bogus 9\n"; }
-  EXPECT_FALSE(LoadTunablesCache(path, &loaded));
-  std::filesystem::remove(path);
-}
+  // Trailing garbage, below-minimum values, unknown keys and knobs that
+  // have their own flags are rejected, leaving the struct untouched.
+  const Tunables before = t;
+  EXPECT_FALSE(SetTunableFromString(&t, "parallel_min_rows", "12abc").ok());
+  EXPECT_FALSE(SetTunableFromString(&t, "morsel_rows", "1").ok());
+  EXPECT_FALSE(SetTunableFromString(&t, "morsel_rows", "").ok());
+  EXPECT_FALSE(SetTunableFromString(&t, "warp_factor", "9").ok());
+  EXPECT_FALSE(SetTunableFromString(&t, "mem_budget_bytes", "1024").ok());
+  EXPECT_EQ(t, before);
 
-TEST_F(TunablesTest, SingleThreadCalibrationDegradesToSerial) {
-  // The fig6c fix: on a 1-thread host no parallel path can win, so every
-  // cutoff is pushed out of reach and operators take the exact serial path.
-  Tunables t = CalibrateTunables(1);
-  EXPECT_EQ(t.parallel_min_rows, std::numeric_limits<int64_t>::max());
-  EXPECT_EQ(t.serial_fanout_row_cutoff, std::numeric_limits<int64_t>::max());
+  // The env path rejects the same values (and keeps the base).
+  ::setenv("PROBKB_PARALLEL_MIN_ROWS", "12abc", 1);
+  ::setenv("PROBKB_MORSEL_ROWS", "1", 1);
+  ::setenv("PROBKB_MAX_BUILD_PARTITIONS", "4294967297", 1);
+  const Tunables env = ApplyTunablesEnv(Tunables{});
+  EXPECT_EQ(env.parallel_min_rows, Tunables{}.parallel_min_rows);
+  EXPECT_EQ(env.morsel_rows, Tunables{}.morsel_rows);
+  EXPECT_EQ(env.max_build_partitions, 256);
 }
 
 // --- Cross-policy / cross-thread bit-identity -------------------------------

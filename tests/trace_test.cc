@@ -4,10 +4,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "grounding/grounder.h"
 #include "grounding/mpp_grounder.h"
 #include "kb/relational_model.h"
 #include "obs/histogram.h"
@@ -138,6 +140,9 @@ TEST(TraceDeterminismTest, CanonicalDumpIsByteIdenticalAcrossThreadCounts) {
   const std::string base = GroundAndDumpCanonical(1, false);
   ASSERT_FALSE(base.empty());
   EXPECT_NE(base.find("iteration"), std::string::npos);
+  // One statement span per M_p, payloads included in the identity check.
+  EXPECT_NE(base.find("iter1/M1"), std::string::npos) << base;
+  EXPECT_NE(base.find("cat=statement"), std::string::npos) << base;
   for (int threads : {2, 4, 8}) {
     EXPECT_EQ(GroundAndDumpCanonical(threads, false), base)
         << "canonical trace diverged at " << threads << " threads";
@@ -192,6 +197,99 @@ TEST(TraceDeterminismTest, CanonicalDumpIsByteIdenticalSimVsProcess) {
   EXPECT_GT(workers, 0) << "process run produced no worker spans";
   EXPECT_EQ(orphans, 0);
   tracer->set_enabled(false);
+}
+
+// --- One timeline: iteration -> statement -> operator -----------------------
+
+/// Single-node grounding with a stats registry attached and the global
+/// tracer on; returns the spans and fills `registry`.
+std::vector<SpanRecord> GroundSingleNodeTraced(int num_threads,
+                                               StatsRegistry* registry) {
+  Tracer* tracer = Tracer::Global();
+  tracer->Reset();
+  tracer->set_enabled(true);
+  KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  RelationalKB rkb = BuildRelationalModel(kb);
+  GroundingOptions grounding;
+  grounding.num_threads = num_threads;
+  Grounder grounder(&rkb, grounding);
+  grounder.set_stats_registry(registry);
+  EXPECT_TRUE(grounder.GroundAtoms().ok());
+  EXPECT_TRUE(grounder.GroundFactors().ok());
+  tracer->set_enabled(false);
+  return tracer->CollectSpans();
+}
+
+TEST(UnifiedTimelineTest, StatementsNestUnderIterationsWithTheirOperators) {
+  StatsRegistry registry;
+  const std::vector<SpanRecord> spans = GroundSingleNodeTraced(1, &registry);
+  ASSERT_FALSE(registry.statements().empty());
+  auto by_id = [&](uint64_t id) -> const SpanRecord* {
+    for (const SpanRecord& record : spans) {
+      if (record.span_id == id) return &record;
+    }
+    return nullptr;
+  };
+  for (const StatementTrace& st : registry.statements()) {
+    SCOPED_TRACE(st.scope);
+    const SpanRecord* statement = nullptr;
+    for (const SpanRecord& record : spans) {
+      if (st.scope == record.name) statement = &record;
+    }
+    ASSERT_NE(statement, nullptr);
+    EXPECT_STREQ(statement->category, "statement");
+    const SpanRecord* parent = by_id(statement->parent_id);
+    ASSERT_NE(parent, nullptr);
+    int iteration = 0;
+    if (std::sscanf(st.scope.c_str(), "iter%d/", &iteration) == 1) {
+      EXPECT_STREQ(parent->name, "iteration");
+      EXPECT_EQ(parent->a, iteration);
+    } else {
+      EXPECT_STREQ(parent->name, "ground_factors");
+    }
+    // The operator children, in close order, are the registry's post-order
+    // records: same labels, same output rows.
+    std::vector<const SpanRecord*> ops;
+    for (const SpanRecord& record : spans) {
+      if (record.parent_id == statement->span_id) ops.push_back(&record);
+    }
+    ASSERT_EQ(ops.size(), st.ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      EXPECT_STREQ(ops[i]->category, "operator");
+      EXPECT_EQ(ops[i]->name, st.ops[i].label.substr(0, 31));
+      EXPECT_EQ(ops[i]->b, st.ops[i].rows_out);
+      EXPECT_GE(ops[i]->start_us, statement->start_us);
+      EXPECT_LE(ops[i]->start_us + ops[i]->dur_us,
+                statement->start_us + statement->dur_us);
+    }
+  }
+}
+
+TEST(UnifiedTimelineTest, OperatorSpansAreByteIdenticalAcrossThreadCounts) {
+  StatsRegistry serial_registry;
+  GroundSingleNodeTraced(1, &serial_registry);
+  const std::string base = Tracer::Global()->CanonicalText();
+  EXPECT_NE(base.find("cat=operator"), std::string::npos) << base;
+  for (int threads : {2, 4, 8}) {
+    StatsRegistry registry;
+    GroundSingleNodeTraced(threads, &registry);
+    EXPECT_EQ(Tracer::Global()->CanonicalText(), base)
+        << "canonical trace diverged at " << threads << " threads";
+  }
+}
+
+TEST(UnifiedTimelineTest, QuotedScopeSurvivesIntoJsonlAndChrome) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  {
+    TraceSpan span(&tracer, "scope \"x\"", "statement");
+  }
+  for (const std::string& dump :
+       {tracer.DumpJsonl(), tracer.DumpChromeJson()}) {
+    EXPECT_NE(dump.find("\"scope \\\"x\\\"\""), std::string::npos)
+        << dump;
+    EXPECT_EQ(dump.find("\"scope \"x\"\""), std::string::npos) << dump;
+  }
 }
 
 // --- Chaos: exactly-once worker spans across kill + respawn --------------------

@@ -236,12 +236,9 @@ int main(int argc, char** argv) {
   std::printf("scale=%.3f, hardware threads=%u\n", scale,
               HardwareThreads());
 
-  // Calibrated execution knobs: measure (or read from cache) this host's
-  // serial-vs-parallel crossover so the bench numbers reflect what a tuned
-  // deployment would see — on a 1-core host this disables fan-out
-  // entirely, which is exactly the fig6c multi-thread fix. Env vars still
-  // win over calibration.
-  SetTunables(ApplyTunablesEnv(AutoTuneTunables()));
+  // Fixed default execution knobs (PROBKB_* env vars still override), so
+  // runs on one host are comparable with each other.
+  SetTunables(ApplyTunablesEnv(Tunables{}));
   std::printf("tunables: %s\n", GetTunables().ToString().c_str());
 
   SyntheticKbConfig config;
@@ -326,7 +323,7 @@ int main(int argc, char** argv) {
   // Flight-recorder + structured-logging overhead on table3_grounding: a
   // serial run with the recorder killed vs one with the recorder on AND a
   // JSONL log sink attached (the worst supported observability config
-  // short of PROBKB_TRACE). Budget: < 5%.
+  // short of span tracing). Budget: < 5%.
   double obs_off_seconds = 0.0;
   double obs_on_seconds = 0.0;
   {

@@ -18,8 +18,10 @@ Checks per registry:
     join times;
   * motions ship non-negative tuple/byte counts.
 
-With a TRACE_JSON argument the Chrome-trace file must parse and carry
-non-negative complete events.
+With a TRACE_JSON argument the Chrome-trace file (``--trace_chrome``
+output) must parse, carry non-negative complete events, and hold the
+grounding timeline: at least one ``iteration`` span and one partition
+statement span (``iter<N>/M<p>``, category ``statement``).
 
 ``--require-spill`` additionally demands that at least one registry's
 counter list reports ``spill_bytes_written > 0`` — the out-of-core CI
@@ -34,6 +36,7 @@ Exits non-zero on the first violation.
 """
 
 import json
+import re
 import sys
 
 
@@ -127,7 +130,15 @@ def check_trace(path):
             fail(f"trace '{path}' has a non-complete event: {ev}")
         if ev.get("ts", -1) < 0 or ev.get("dur", -1) < 0:
             fail(f"trace '{path}' has a negative timestamp: {ev}")
-    print(f"  trace {path}: {len(events)} events: OK")
+    if not any(ev.get("name") == "iteration" for ev in events):
+        fail(f"trace '{path}' has no grounding 'iteration' span")
+    statements = [ev for ev in events if ev.get("cat") == "statement"
+                  and re.fullmatch(r"iter\d+/M[1-6]", ev.get("name", ""))]
+    if not statements:
+        fail(f"trace '{path}' has no partition statement span "
+             f"(iter<N>/M<p>)")
+    print(f"  trace {path}: {len(events)} events, {len(statements)} "
+          f"partition statements: OK")
 
 
 def check_spans(path):

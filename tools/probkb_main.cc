@@ -79,7 +79,6 @@ struct CliOptions {
   std::string tphi_out;
   std::string fact_query;
   bool explain_plans = false;
-  bool auto_tune = false;
   std::vector<std::string> tunable_overrides;
   bool stats = false;
   std::string stats_json;
@@ -135,12 +134,10 @@ int Usage() {
       "  --explain         dump the chosen plan trees / motion decisions of\n"
       "                    the last grounding iteration (est vs observed\n"
       "                    cardinalities)\n"
-      "  --auto-tune       calibrate execution knobs with a startup\n"
-      "                    microbench (cached; see PROBKB_TUNABLES_CACHE)\n"
       "  --tunable K=V     override one execution knob (parallel_min_rows,\n"
       "                    hash_chunk_rows, morsel_rows,\n"
       "                    serial_fanout_row_cutoff, max_build_partitions);\n"
-      "                    repeatable, wins over --auto-tune and env\n"
+      "                    repeatable, wins over env\n"
       "  --stats           print an EXPLAIN ANALYZE execution report\n"
       "  --stats_json FILE write the execution stats as JSON\n"
       "  --log_level L     debug|info|warning|error or 0-3 (default info;\n"
@@ -148,7 +145,8 @@ int Usage() {
       "  --log_json FILE   mirror log lines into FILE as JSONL\n"
       "                    (env PROBKB_LOG)\n"
       "  --post_mortem FILE  write the flight-recorder timeline as JSON\n"
-      "  --trace FILE      write distributed-trace spans as JSONL\n"
+      "  --trace FILE      write the span timeline (iterations, statements,\n"
+      "                    operators, motions) as JSONL\n"
       "  --trace_chrome FILE  write the spans as chrome://tracing JSON\n"
       "  --metrics-socket PATH  serve: Prometheus-format telemetry over a\n"
       "                    Unix socket (poll it with probkb_top)\n"
@@ -164,17 +162,15 @@ int Usage() {
       "  --verify-batch    serve: cross-check answers against full batch\n"
       "                    grounding + inference at the same epoch\n"
       "  --tolerance F     serve: max |serve - batch| marginal difference\n"
-      "                    allowed by --verify-batch (default 0.05)\n"
-      "  (set PROBKB_TRACE=FILE for a chrome://tracing span dump)\n");
+      "                    allowed by --verify-batch (default 0.05)\n");
   return 2;
 }
 
-// Every flag (or env var) that names an output file, so duplicate paths
-// can be rejected up front. Without this, --post_mortem and PROBKB_TRACE
-// pointed at the same file would each open it independently and silently
-// interleave / clobber each other's JSON.
+// Every flag that names an output file, so duplicate paths can be rejected
+// up front. Without this, --post_mortem and --trace pointed at the same
+// file would each open it independently and clobber each other's JSON.
 bool CheckOutputPathCollisions(const CliOptions& options) {
-  std::vector<std::pair<const char*, std::string>> outputs = {
+  const std::vector<std::pair<const char*, std::string>> outputs = {
       {"--tpi", options.tpi_out},
       {"--tphi", options.tphi_out},
       {"--stats_json", options.stats_json},
@@ -183,10 +179,6 @@ bool CheckOutputPathCollisions(const CliOptions& options) {
       {"--trace", options.trace_jsonl},
       {"--trace_chrome", options.trace_chrome},
   };
-  const char* env_trace = std::getenv("PROBKB_TRACE");
-  if (env_trace != nullptr && env_trace[0] != '\0') {
-    outputs.emplace_back("PROBKB_TRACE", env_trace);
-  }
   for (size_t i = 0; i < outputs.size(); ++i) {
     if (outputs[i].second.empty()) continue;
     for (size_t j = i + 1; j < outputs.size(); ++j) {
@@ -217,35 +209,20 @@ int ExitCodeFor(const Status& st) {
   }
 }
 
-// Resolves the execution knobs for this run: calibration (--auto-tune) is
-// the base, PROBKB_* env vars refine it, and explicit --tunable K=V flags
-// win. False (usage error) on a malformed override.
+// Resolves the execution knobs for this run: PROBKB_* env vars refine the
+// defaults and explicit --tunable K=V flags win. Both go through the same
+// per-knob validator; a bad flag is a usage error (false), not a fallback.
 bool ApplyCliTunables(const CliOptions& options) {
-  Tunables tun = options.auto_tune ? AutoTuneTunables() : GetTunables();
-  tun = ApplyTunablesEnv(tun);
+  Tunables tun = ApplyTunablesEnv(GetTunables());
   for (const std::string& kv : options.tunable_overrides) {
     const size_t eq = kv.find('=');
-    const long long value =
-        eq == std::string::npos ? 0 : std::atoll(kv.c_str() + eq + 1);
-    if (eq == std::string::npos || value <= 0) {
-      std::fprintf(stderr,
-                   "--tunable wants K=V with a positive integer, got '%s'\n",
-                   kv.c_str());
-      return false;
-    }
-    const std::string key = kv.substr(0, eq);
-    if (key == "parallel_min_rows") {
-      tun.parallel_min_rows = value;
-    } else if (key == "hash_chunk_rows") {
-      tun.hash_chunk_rows = value;
-    } else if (key == "morsel_rows") {
-      tun.morsel_rows = value;
-    } else if (key == "serial_fanout_row_cutoff") {
-      tun.serial_fanout_row_cutoff = value;
-    } else if (key == "max_build_partitions") {
-      tun.max_build_partitions = static_cast<int>(value);
-    } else {
-      std::fprintf(stderr, "unknown tunable '%s'\n", key.c_str());
+    const Status st =
+        eq == std::string::npos
+            ? Status::InvalidArgument("wants K=V, got '" + kv + "'")
+            : SetTunableFromString(&tun, std::string_view(kv).substr(0, eq),
+                                   std::string_view(kv).substr(eq + 1));
+    if (!st.ok()) {
+      std::fprintf(stderr, "--tunable: %s\n", st.message().c_str());
       return false;
     }
   }
@@ -362,8 +339,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->fact_query = v;
     } else if (flag == "--explain") {
       options->explain_plans = true;
-    } else if (flag == "--auto-tune") {
-      options->auto_tune = true;
     } else if (flag == "--tunable") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -764,23 +739,23 @@ int Run(const CliOptions& options) {
 
   // One registry per run collects operator/motion/partition stats; it is
   // only attached (and thus only fed) when some output was requested, so
-  // the default path keeps its zero-instrumentation behavior.
+  // the default path keeps its zero-instrumentation behavior. A trace
+  // output attaches it too: its operator records become the operator spans
+  // under each statement span.
   StatsRegistry registry;
   const bool want_stats = options.stats || !options.stats_json.empty() ||
-                          registry.trace_enabled();
+                          !options.trace_jsonl.empty() ||
+                          !options.trace_chrome.empty();
   auto emit_stats = [&]() -> int {
-    if (!want_stats) return 0;
     if (options.stats) std::printf("%s", registry.ToText().c_str());
     if (!options.stats_json.empty()) {
-      if (auto st = registry.WriteJsonFile(options.stats_json); !st.ok()) {
+      if (auto st = WriteTextFile(options.stats_json, registry.ToJson(),
+                                  "stats");
+          !st.ok()) {
         std::fprintf(stderr, "%s\n", st.ToString().c_str());
         return 1;
       }
       std::printf("wrote %s\n", options.stats_json.c_str());
-    }
-    if (auto st = registry.WriteTraceIfEnabled(); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
     }
     return 0;
   };
@@ -1020,23 +995,6 @@ int main(int argc, char** argv) {
 
   const int code = Run(options);
 
-  if (!options.trace_jsonl.empty()) {
-    if (auto st = Tracer::Global()->WriteJsonl(options.trace_jsonl);
-        !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return code != 0 ? code : 1;
-    }
-    std::printf("wrote %s\n", options.trace_jsonl.c_str());
-  }
-  if (!options.trace_chrome.empty()) {
-    if (auto st = Tracer::Global()->WriteChromeTrace(options.trace_chrome);
-        !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return code != 0 ? code : 1;
-    }
-    std::printf("wrote %s\n", options.trace_chrome.c_str());
-  }
-
   // Flight-recorder post-mortem: the merged event timeline goes to stderr
   // whenever the pipeline exits non-OK (usage errors excluded — nothing
   // ran), and to --post_mortem FILE as JSON whenever one was requested.
@@ -1045,12 +1003,27 @@ int main(int argc, char** argv) {
   if (code != 0 && code != 2) {
     std::fputs(recorder->DumpText(kPostMortemEvents).c_str(), stderr);
   }
-  if (!options.post_mortem.empty()) {
-    if (auto st = recorder->WriteDump(options.post_mortem); !st.ok()) {
+  struct Dump {
+    const char* flag;
+    const std::string& path;
+    std::string (*render)();
+  };
+  const Dump dumps[] = {
+      {"--trace", options.trace_jsonl,
+       [] { return Tracer::Global()->DumpJsonl(); }},
+      {"--trace_chrome", options.trace_chrome,
+       [] { return Tracer::Global()->DumpChromeJson(); }},
+      {"--post_mortem", options.post_mortem,
+       [] { return FlightRecorder::Global()->DumpJson(); }},
+  };
+  for (const Dump& dump : dumps) {
+    if (dump.path.empty()) continue;
+    if (auto st = WriteTextFile(dump.path, dump.render(), dump.flag);
+        !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return code != 0 ? code : 1;
     }
-    std::printf("wrote %s\n", options.post_mortem.c_str());
+    std::printf("wrote %s\n", dump.path.c_str());
   }
   return code;
 }
