@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <set>
+#include <span>
 #include <unordered_set>
 
 #include "engine/exec_context.h"
@@ -37,10 +38,52 @@ std::unordered_map<FactId, int64_t> BuildFactRowIndex(const Table& t_pi) {
   return out;
 }
 
+EntityRowIndex BuildEntityRowIndex(const Table& t_pi) {
+  const int64_t n = t_pi.NumRows();
+  const int64_t* xs = n > 0 ? t_pi.Int64Data(tpi::kX) : nullptr;
+  const int64_t* ys = n > 0 ? t_pi.Int64Data(tpi::kY) : nullptr;
+  int64_t max_entity = -1;
+  for (int64_t i = 0; i < n; ++i) {
+    max_entity = std::max({max_entity, xs[i], ys[i]});
+  }
+  EntityRowIndex index;
+  index.offsets.assign(static_cast<size_t>(max_entity + 2), 0);
+  auto for_each_entity = [&](auto&& visit) {
+    for (int64_t i = 0; i < n; ++i) {
+      visit(xs[i], i);
+      if (ys[i] != xs[i]) visit(ys[i], i);
+    }
+  };
+  for_each_entity([&](int64_t e, int64_t) {
+    if (e >= 0) ++index.offsets[static_cast<size_t>(e) + 1];
+  });
+  for (size_t e = 1; e < index.offsets.size(); ++e) {
+    index.offsets[e] += index.offsets[e - 1];
+  }
+  index.rows.resize(static_cast<size_t>(index.offsets.back()));
+  // Filling in row order keeps every entity's rows ascending.
+  std::vector<int64_t> cursor(index.offsets.begin(), index.offsets.end() - 1);
+  for_each_entity([&](int64_t e, int64_t row) {
+    if (e < 0) return;
+    int64_t& slot = cursor[static_cast<size_t>(e)];
+    index.rows[static_cast<size_t>(slot++)] = row;
+  });
+  return index;
+}
+
 Result<LocalGrounding> GroundLocalSubgraph(
     TablePtr t_pi, const std::array<TablePtr, kNumRuleStructures>& m,
     const std::unordered_map<FactId, int64_t>& row_of,
     const std::vector<int64_t>& seed_rows,
+    const LocalGroundingOptions& opts) {
+  return GroundLocalSubgraph(t_pi, m, row_of, BuildEntityRowIndex(*t_pi),
+                             seed_rows, opts);
+}
+
+Result<LocalGrounding> GroundLocalSubgraph(
+    TablePtr t_pi, const std::array<TablePtr, kNumRuleStructures>& m,
+    const std::unordered_map<FactId, int64_t>& row_of,
+    const EntityRowIndex& by_entity, const std::vector<int64_t>& seed_rows,
     const LocalGroundingOptions& opts) {
   LocalGrounding out;
   out.total_atoms = t_pi->NumRows();
@@ -54,16 +97,43 @@ Result<LocalGrounding> GroundLocalSubgraph(
   }
 
   std::set<std::array<int64_t, 5>> seen_factors;
+  std::vector<int64_t> frontier_rows;
+  std::vector<int64_t> entities;
+  std::vector<int64_t> hood_rows;
   for (int depth = 0; depth < opts.max_depth && !frontier.empty(); ++depth) {
     // Materialize the frontier in ascending id order so the joins (and
     // therefore the factor rows) come out the same however the BFS
     // happened to discover the atoms.
     std::sort(frontier.begin(), frontier.end());
-    auto frontier_table = Table::Make(t_pi->schema());
+    frontier_rows.clear();
     for (FactId id : frontier) {
       auto it = row_of.find(id);
-      if (it != row_of.end()) frontier_table->AppendRow(t_pi->row(it->second));
+      if (it != row_of.end()) frontier_rows.push_back(it->second);
     }
+    auto frontier_table = Table::Make(t_pi->schema());
+    frontier_table->AppendGatheredRows(*t_pi, frontier_rows);
+
+    // The round's entity neighbourhood, in ascending TPi row order.
+    entities.clear();
+    for (int64_t r : frontier_rows) {
+      RowView row = t_pi->row(r);
+      entities.push_back(row[tpi::kX].i64());
+      entities.push_back(row[tpi::kY].i64());
+    }
+    std::sort(entities.begin(), entities.end());
+    entities.erase(std::unique(entities.begin(), entities.end()),
+                   entities.end());
+    hood_rows.clear();
+    for (int64_t e : entities) {
+      std::span<const int64_t> rows = by_entity.RowsOf(e);
+      hood_rows.insert(hood_rows.end(), rows.begin(), rows.end());
+    }
+    std::sort(hood_rows.begin(), hood_rows.end());
+    hood_rows.erase(std::unique(hood_rows.begin(), hood_rows.end()),
+                    hood_rows.end());
+    auto hood = Table::Make(t_pi->schema());
+    hood->AppendGatheredRows(*t_pi, hood_rows);
+    out.neighbourhood_rows += hood->NumRows();
 
     std::vector<FactId> next;
     auto absorb = [&](int p, const Table& factors) {
@@ -86,18 +156,18 @@ Result<LocalGrounding> GroundLocalSubgraph(
         ExecContext ec;
         PROBKB_ASSIGN_OR_RETURN(
             TablePtr factors,
-            GroundFactorsForPartition(p, mp, t_pi, t_pi, frontier_table,
+            GroundFactorsForPartition(p, mp, hood, hood, frontier_table,
                                       &ec));
         absorb(p, *factors);
       }
       // Forward: factors with a frontier atom in the first (and, for
-      // length-3 partitions, the second) body slot; heads resolve against
-      // the full TPi.
+      // length-3 partitions, the second) body slot; the other atoms
+      // resolve against the neighbourhood.
       {
         ExecContext ec;
         PROBKB_ASSIGN_OR_RETURN(
             TablePtr factors,
-            GroundFactorsForPartition(p, mp, frontier_table, t_pi, t_pi,
+            GroundFactorsForPartition(p, mp, frontier_table, hood, hood,
                                       &ec));
         absorb(p, *factors);
       }
@@ -105,7 +175,7 @@ Result<LocalGrounding> GroundLocalSubgraph(
         ExecContext ec;
         PROBKB_ASSIGN_OR_RETURN(
             TablePtr factors,
-            GroundFactorsForPartition(p, mp, t_pi, frontier_table, t_pi,
+            GroundFactorsForPartition(p, mp, hood, frontier_table, hood,
                                       &ec));
         absorb(p, *factors);
       }

@@ -295,6 +295,7 @@ Result<int64_t> MppGrounder::MergeAtoms(const DistributedTable& atoms) {
 }
 
 Result<int64_t> MppGrounder::GroundAtomsIteration() {
+  const Timer iteration_wall;
   const double start_cost = ctx_.cost().simulated_seconds();
   const int iteration = stats_.iterations + 1;
   // Root span of the iteration's trace: every motion span (and, in process
@@ -308,6 +309,7 @@ Result<int64_t> MppGrounder::GroundAtomsIteration() {
   std::vector<DistributedTablePtr> inferred;
   for (int p = 1; p <= kNumRuleStructures; ++p) {
     if (m_[static_cast<size_t>(p - 1)]->NumRows() == 0) continue;
+    const Timer partition_wall;
     const double partition_start = ctx_.cost().simulated_seconds();
     // One statement span per M_p on real wall time; the modelled motion
     // time rides along as payload c (microseconds) only.
@@ -324,7 +326,7 @@ Result<int64_t> MppGrounder::GroundAtomsIteration() {
     }
     if (obs_ != nullptr) {
       obs_->RecordPartitionIteration(
-          iteration, p, atoms->NumRows(),
+          iteration, p, atoms->NumRows(), partition_wall.Seconds(),
           ctx_.cost().simulated_seconds() - partition_start);
     }
     inferred.push_back(std::move(atoms));
@@ -344,7 +346,9 @@ Result<int64_t> MppGrounder::GroundAtomsIteration() {
   stats_.iteration_new_atoms.push_back(added);
   stats_.ground_atoms_seconds += secs;
   ++stats_.iterations;
-  if (obs_ != nullptr) obs_->RecordLatency("grounding_iteration", secs);
+  if (obs_ != nullptr) {
+    obs_->RecordLatency("grounding_iteration", iteration_wall.Seconds());
+  }
   span.set_values(stats_.iterations, added, t_pi_->NumRows());
   FlightRecorder::Global()->Record(FrEvent::kIterationBoundary,
                                    "mpp_grounder", stats_.iterations, added,

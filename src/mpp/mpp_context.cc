@@ -6,6 +6,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/strings.h"
+#include "util/timer.h"
 
 namespace probkb {
 
@@ -193,6 +194,7 @@ Status MppContext::AccountMotion(
     const std::function<int64_t(const FaultEvent&)>& resend_tuples,
     const Table* payload, std::span<const int> payload_targets,
     std::vector<TablePtr>* delivered) {
+  const Timer wall;
   int64_t motion_index = 0;
   PROBKB_RETURN_NOT_OK(BeginMotion(label, &motion_index));
   TraceSpan motion_span(Tracer::Global(), label.c_str(), KindName(kind),
@@ -261,12 +263,13 @@ Status MppContext::AccountMotion(
   step.seconds = kind == MppStep::Kind::kBroadcast
                      ? BroadcastSeconds(tuples_shipped)
                      : MotionSeconds(tuples_shipped);
-  const double seconds = step.seconds;
+  const double modelled = step.seconds;
   cost_.Add(std::move(step));
   if (obs_ != nullptr) {
     // Caller-performed movement: the context never sees the schema or the
     // per-segment placement, so bytes and skew stay unreported here.
-    obs_->RecordMotion(label, KindName(kind), tuples_shipped, 0, seconds, {});
+    obs_->RecordMotion(label, KindName(kind), tuples_shipped, 0,
+                       wall.Seconds(), {}, modelled);
   }
   return Status::OK();
 }
@@ -280,6 +283,7 @@ Result<DistributedTablePtr> MppContext::Redistribute(
           StrFormat("redistribute key column %d out of range", c));
     }
   }
+  const Timer wall;
   const std::string label =
       input.name().empty() ? "redistribute" : input.name();
   int64_t motion_index = 0;
@@ -478,7 +482,7 @@ Result<DistributedTablePtr> MppContext::Redistribute(
     for (const TablePtr& seg : segments) per_segment.push_back(seg->NumRows());
     obs_->RecordMotion(label, "redistribute", shipped,
                        shipped * input.schema().num_fields() * 8,
-                       MotionSeconds(shipped), per_segment);
+                       wall.Seconds(), per_segment, MotionSeconds(shipped));
   }
 
   return std::make_shared<DistributedTable>(
@@ -488,6 +492,7 @@ Result<DistributedTablePtr> MppContext::Redistribute(
 
 Result<DistributedTablePtr> MppContext::Broadcast(
     const DistributedTable& input, std::string name) {
+  const Timer wall;
   const std::string label = input.name().empty() ? "broadcast" : input.name();
   int64_t motion_index = 0;
   PROBKB_RETURN_NOT_OK(BeginMotion(label, &motion_index));
@@ -546,7 +551,7 @@ Result<DistributedTablePtr> MppContext::Broadcast(
                                      full->NumRows());
     obs_->RecordMotion(label, "broadcast", shipped,
                        shipped * input.schema().num_fields() * 8,
-                       BroadcastSeconds(shipped), per_segment);
+                       wall.Seconds(), per_segment, BroadcastSeconds(shipped));
   }
 
   std::vector<TablePtr> segments =
@@ -559,6 +564,7 @@ Result<DistributedTablePtr> MppContext::Broadcast(
 }
 
 Result<TablePtr> MppContext::Gather(const DistributedTable& input) {
+  const Timer wall;
   const std::string label = input.name().empty() ? "gather" : input.name();
   int64_t motion_index = 0;
   PROBKB_RETURN_NOT_OK(BeginMotion(label, &motion_index));
@@ -626,7 +632,7 @@ Result<TablePtr> MppContext::Gather(const DistributedTable& input) {
     }
     obs_->RecordMotion(label, "gather", shipped,
                        shipped * input.schema().num_fields() * 8,
-                       MotionSeconds(shipped), per_segment);
+                       wall.Seconds(), per_segment, MotionSeconds(shipped));
   }
   return out;
 }

@@ -64,7 +64,8 @@ void StatsRegistry::RecordOp(const std::string& scope, const OpRecord& op) {
 
 void StatsRegistry::RecordPartitionIteration(int iteration, int partition,
                                              int64_t delta_rows,
-                                             double join_seconds) {
+                                             double join_seconds,
+                                             double modelled_seconds) {
   const int64_t key =
       static_cast<int64_t>(iteration) * 64 + static_cast<int64_t>(partition);
   auto [it, inserted] =
@@ -78,6 +79,7 @@ void StatsRegistry::RecordPartitionIteration(int iteration, int partition,
   PartitionIterStats& cell = partition_iterations_[it->second];
   cell.delta_rows += delta_rows;
   cell.join_seconds += join_seconds;
+  cell.modelled_seconds += modelled_seconds;
   ++cell.statements;
 }
 
@@ -85,7 +87,8 @@ void StatsRegistry::RecordMotion(const std::string& label,
                                  const std::string& kind,
                                  int64_t tuples_shipped, int64_t bytes_shipped,
                                  double seconds,
-                                 const std::vector<int64_t>& per_segment_rows) {
+                                 const std::vector<int64_t>& per_segment_rows,
+                                 double modelled_seconds) {
   const std::string key = kind + "/" + label;
   auto [it, inserted] = motion_index_.emplace(key, motion_totals_.size());
   if (inserted) {
@@ -99,6 +102,7 @@ void StatsRegistry::RecordMotion(const std::string& label,
   t.tuples_shipped += tuples_shipped;
   t.bytes_shipped += bytes_shipped;
   t.seconds += seconds;
+  t.modelled_seconds += modelled_seconds;
   const double skew = SkewOf(per_segment_rows);
   if (skew > t.max_skew) t.max_skew = skew;
   for (int64_t v : per_segment_rows) {
@@ -196,11 +200,12 @@ std::string StatsRegistry::ToText() const {
   }
 
   if (!partition_iterations_.empty()) {
-    out += "fixpoint partitions (delta rows / join seconds):\n";
+    out += "fixpoint partitions (delta rows / join seconds / modelled):\n";
     for (const PartitionIterStats& c : partition_iterations_) {
-      out += StrFormat("  iter %-3d M%d  +%-10lld %8.4fs\n", c.iteration,
-                       c.partition, static_cast<long long>(c.delta_rows),
-                       c.join_seconds);
+      out += StrFormat("  iter %-3d M%d  +%-10lld %8.4fs %8.4fs\n",
+                       c.iteration, c.partition,
+                       static_cast<long long>(c.delta_rows), c.join_seconds,
+                       c.modelled_seconds);
     }
   }
 
@@ -209,10 +214,11 @@ std::string StatsRegistry::ToText() const {
     for (const MotionTotals& t : motion_totals_) {
       out += StrFormat(
           "  %-12s %-28s x%-4lld %12lld tuples %12lld bytes %8.4fs"
-          " skew %.2f\n",
+          " (modelled %8.4fs) skew %.2f\n",
           t.kind.c_str(), t.label.c_str(), static_cast<long long>(t.count),
           static_cast<long long>(t.tuples_shipped),
-          static_cast<long long>(t.bytes_shipped), t.seconds, t.max_skew);
+          static_cast<long long>(t.bytes_shipped), t.seconds,
+          t.modelled_seconds, t.max_skew);
     }
   }
 
@@ -378,9 +384,11 @@ std::string StatsRegistry::ToJson() const {
     out += i == 0 ? "\n" : ",\n";
     out += StrFormat(
         "    {\"iteration\": %d, \"partition\": %d, \"delta_rows\": %lld,"
-        " \"join_seconds\": %.6f, \"statements\": %lld}",
+        " \"join_seconds\": %.6f, \"modelled_seconds\": %.6f,"
+        " \"statements\": %lld}",
         c.iteration, c.partition, static_cast<long long>(c.delta_rows),
-        c.join_seconds, static_cast<long long>(c.statements));
+        c.join_seconds, c.modelled_seconds,
+        static_cast<long long>(c.statements));
   }
   out += partition_iterations_.empty() ? "],\n" : "\n  ],\n";
 
@@ -391,12 +399,13 @@ std::string StatsRegistry::ToJson() const {
     out += StrFormat(
         "    {\"label\": \"%s\", \"kind\": \"%s\", \"count\": %lld,"
         " \"tuples_shipped\": %lld, \"bytes_shipped\": %lld,"
-        " \"seconds\": %.6f, \"max_skew\": %.4f,"
-        " \"max_segment_tuples\": %lld}",
+        " \"seconds\": %.6f, \"modelled_seconds\": %.6f,"
+        " \"max_skew\": %.4f, \"max_segment_tuples\": %lld}",
         JsonEscape(t.label).c_str(), JsonEscape(t.kind).c_str(),
         static_cast<long long>(t.count),
         static_cast<long long>(t.tuples_shipped),
-        static_cast<long long>(t.bytes_shipped), t.seconds, t.max_skew,
+        static_cast<long long>(t.bytes_shipped), t.seconds,
+        t.modelled_seconds, t.max_skew,
         static_cast<long long>(t.max_segment_tuples));
   }
   out += motion_totals_.empty() ? "],\n" : "\n  ],\n";

@@ -57,7 +57,11 @@ struct PartitionIterStats {
   int iteration = 0;
   int partition = 0;  // 1..kNumRuleStructures
   int64_t delta_rows = 0;
+  /// Measured wall-clock seconds.
   double join_seconds = 0.0;
+  /// The MPP cost model's simulated seconds for the same statement (0 on
+  /// the single-node grounder, which has no model).
+  double modelled_seconds = 0.0;
   int64_t statements = 0;
 };
 
@@ -68,7 +72,10 @@ struct MotionTotals {
   int64_t count = 0;
   int64_t tuples_shipped = 0;
   int64_t bytes_shipped = 0;
+  /// Measured wall-clock seconds spent in the motions.
   double seconds = 0.0;
+  /// The cost model's interconnect seconds for the same motions.
+  double modelled_seconds = 0.0;
   /// Worst per-segment row skew observed over this label's motions:
   /// max-segment rows divided by mean-segment rows (1.0 = balanced, 0 when
   /// no per-segment data was reported).
@@ -126,16 +133,22 @@ class StatsRegistry {
   void RecordOp(const std::string& scope, const OpRecord& op);
 
   /// \brief Accumulates one partition pass of one fixpoint iteration.
+  /// `join_seconds` is measured; `modelled_seconds` is the MPP cost
+  /// model's figure, kept beside it and never in its place.
   void RecordPartitionIteration(int iteration, int partition,
-                                int64_t delta_rows, double join_seconds);
+                                int64_t delta_rows, double join_seconds,
+                                double modelled_seconds = 0.0);
 
-  /// \brief Accumulates one motion. `per_segment_rows` carries the
+  /// \brief Accumulates one motion. `seconds` is measured wall-clock time
+  /// (it also feeds the "motion_ship" histogram); `modelled_seconds` is the
+  /// cost model's interconnect time. `per_segment_rows` carries the
   /// post-motion per-segment row counts when the motion knows them
   /// (Redistribute/Broadcast/Gather); empty otherwise.
   void RecordMotion(const std::string& label, const std::string& kind,
                     int64_t tuples_shipped, int64_t bytes_shipped,
                     double seconds,
-                    const std::vector<int64_t>& per_segment_rows);
+                    const std::vector<int64_t>& per_segment_rows,
+                    double modelled_seconds = 0.0);
 
   /// \brief Accumulates one per-segment compute phase.
   void RecordCompute(const std::string& label, double max_seconds,

@@ -62,10 +62,17 @@ Result<PinnedSnapshot> QueryServer::PinNewest() const {
 
 Result<std::shared_ptr<const QueryServer::EpochIndex>> QueryServer::IndexFor(
     const PinnedSnapshot& pin, bool* cache_hit) {
-  std::lock_guard<std::mutex> lock(index_mu_);
+  // Caller holds index_mu_.
+  auto cached = [&]() -> std::shared_ptr<const EpochIndex> {
+    for (const auto& [epoch, index] : cache_) {
+      if (epoch == pin.epoch) return index;
+    }
+    return nullptr;
+  };
   if (cache_hit != nullptr) *cache_hit = true;
-  for (const auto& [epoch, index] : cache_) {
-    if (epoch == pin.epoch) return index;
+  {
+    std::lock_guard<std::mutex> lock(index_mu_);
+    if (auto index = cached()) return index;
   }
   if (cache_hit != nullptr) *cache_hit = false;
   auto index = std::make_shared<EpochIndex>();
@@ -78,12 +85,22 @@ Result<std::shared_ptr<const QueryServer::EpochIndex>> QueryServer::IndexFor(
   index->query =
       std::make_unique<KbQuery>(kb_, index->t_pi, first_inferred_id_);
   index->row_of = BuildFactRowIndex(*index->t_pi);
+  index->by_entity = BuildEntityRowIndex(*index->t_pi);
+
+  std::lock_guard<std::mutex> lock(index_mu_);
+  // Another reader may have built this epoch meanwhile: keep one entry.
+  if (auto winner = cached()) return winner;
   cache_.emplace_back(pin.epoch, index);
   while (options_.max_cached_epochs > 0 &&
          cache_.size() > static_cast<size_t>(options_.max_cached_epochs)) {
     cache_.pop_front();
   }
   return std::shared_ptr<const EpochIndex>(index);
+}
+
+size_t QueryServer::CachedEpochCount() const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  return cache_.size();
 }
 
 Result<ServeAnswer> QueryServer::Answer(const std::string& query_text) {
@@ -123,8 +140,8 @@ Result<ServeAnswer> QueryServer::AnswerAt(const QueryPattern& pattern,
                         static_cast<int64_t>(seeds.size()));
   PROBKB_ASSIGN_OR_RETURN(
       LocalGrounding grounding,
-      GroundLocalSubgraph(index->t_pi, index->m, index->row_of, seeds,
-                          options_.grounding));
+      GroundLocalSubgraph(index->t_pi, index->m, index->row_of,
+                          index->by_entity, seeds, options_.grounding));
   ground_span.set_values(grounding.grounded_atoms, grounding.depth_reached,
                          grounding.truncated ? 1 : 0);
   ground_span.End();
@@ -187,6 +204,8 @@ Result<ServeAnswer> QueryServer::AnswerAt(const QueryPattern& pattern,
     stats_.IncrementCounter("serve_queries");
     stats_.IncrementCounter("serve_grounded_atoms",
                             grounding.grounded_atoms);
+    stats_.IncrementCounter("serve_neighbourhood_rows",
+                            grounding.neighbourhood_rows);
     stats_.IncrementCounter("serve_answers",
                             static_cast<int64_t>(answer.entries.size()));
     if (grounding.truncated) stats_.IncrementCounter("serve_truncated");

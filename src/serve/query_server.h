@@ -105,19 +105,27 @@ class QueryServer {
   /// every poll; same locking contract as StatsText().
   std::string PrometheusText() const;
 
+  /// \brief Number of epoch indexes currently cached.
+  size_t CachedEpochCount() const;
+
  private:
   /// Frozen per-epoch read amplifiers, built once and shared by every
-  /// query at that epoch: the name->row index (KbQuery) and the fact
-  /// id->row map the local grounder seeds from.
+  /// query at that epoch: the name->row index (KbQuery), the fact id->row
+  /// map the local grounder seeds from, and the entity->rows index it
+  /// gathers each round's neighbourhood from.
   struct EpochIndex {
     TablePtr t_pi;
     std::array<TablePtr, kNumRuleStructures> m;
     std::unique_ptr<KbQuery> query;
     std::unordered_map<FactId, int64_t> row_of;
+    EntityRowIndex by_entity;
   };
 
   /// A non-null `cache_hit` reports whether the epoch's index was already
-  /// cached (the serve trace tags its "epoch_index" span with it).
+  /// cached (the serve trace tags its "epoch_index" span with it). A miss
+  /// builds the index without holding `index_mu_`, so readers of cached
+  /// epochs never wait on a build; when two readers miss the same epoch
+  /// at once, the first to finish is cached and both use it.
   Result<std::shared_ptr<const EpochIndex>> IndexFor(
       const PinnedSnapshot& pin, bool* cache_hit = nullptr);
 
@@ -126,7 +134,7 @@ class QueryServer {
   ServeOptions options_;
   SnapshotStore store_;
 
-  std::mutex index_mu_;
+  mutable std::mutex index_mu_;
   /// epoch -> index, newest at the back; bounded by max_cached_epochs.
   std::deque<std::pair<int64_t, std::shared_ptr<const EpochIndex>>> cache_;
 

@@ -460,6 +460,54 @@ TEST(MppGrounderStatsTest, StatementsCountedPerPartition) {
   EXPECT_NE(rendered.find("2 iterations"), std::string::npos);
 }
 
+/// --stats reports measured motion and partition times; the cost model's
+/// figures ride beside them under their own name and never replace them.
+TEST(MppGrounderStatsTest, MotionAndPartitionTimesAreMeasuredNotModelled) {
+  KnowledgeBase kb = testutil::BuildPaperExampleKB();
+  RelationalKB rkb = BuildRelationalModel(kb);
+  MppGrounder grounder(rkb, 2, MppMode::kViews, GroundingOptions{});
+  StatsRegistry registry;
+  grounder.set_stats_registry(&registry);
+  const size_t first_step = grounder.cost().steps().size();
+  ASSERT_TRUE(grounder.GroundAtoms().ok());
+
+  double modelled_motion = 0.0;
+  const std::vector<MppStep>& steps = grounder.cost().steps();
+  for (size_t i = first_step; i < steps.size(); ++i) {
+    if (steps[i].kind != MppStep::Kind::kCompute) {
+      modelled_motion += steps[i].seconds;
+    }
+  }
+  ASSERT_GT(modelled_motion, 0.0);
+  int64_t motions = 0;
+  double measured = 0.0;
+  double modelled = 0.0;
+  for (const MotionTotals& m : registry.motion_totals()) {
+    motions += m.count;
+    measured += m.seconds;
+    modelled += m.modelled_seconds;
+  }
+  EXPECT_NEAR(modelled, modelled_motion, 1e-12);
+  const LatencyHistogram* ship = registry.FindLatency("motion_ship");
+  ASSERT_NE(ship, nullptr);
+  EXPECT_EQ(ship->count(), motions);
+  // The histogram holds the measured samples, not the cost-model constant.
+  EXPECT_NEAR(ship->sum_seconds(), measured, 1e-9);
+  EXPECT_NE(ship->sum_seconds(), modelled);
+
+  double partition_modelled = 0.0;
+  double partition_measured = 0.0;
+  for (const PartitionIterStats& cell : registry.partition_iterations()) {
+    partition_modelled += cell.modelled_seconds;
+    partition_measured += cell.join_seconds;
+  }
+  EXPECT_GT(partition_modelled, 0.0);
+  EXPECT_GT(partition_measured, 0.0);
+  EXPECT_NE(partition_measured, partition_modelled);
+  EXPECT_NE(registry.ToText().find("modelled"), std::string::npos);
+  EXPECT_NE(registry.ToJson().find("\"modelled_seconds\""), std::string::npos);
+}
+
 
 TEST(MppOpsErrorTest, BroadcastLeftInvalidForSemiJoin) {
   auto t = MakeTable(AB(), {{1, 2}});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -258,10 +259,16 @@ TEST_F(ServeTest, StatsCountersTrackServedQueries) {
   EXPECT_NE(text.find("serve_queries"), std::string::npos);
 }
 
-/// Locality: on a KB of many entity-disjoint components, a query grounds
-/// its own component only — an order of magnitude (and more) below the
-/// full expanded TPi, which is the point of serving on demand.
-TEST(ServeLocalityTest, PerQueryGroundingIsOrderOfMagnitudeBelowFullKb) {
+/// What one locality run reports for `live_in(person_0, *)`.
+struct LocalityRun {
+  ServeAnswer answer;
+  int64_t neighbourhood_rows = 0;
+};
+
+/// Serves `live_in(person_0, *)` over a KB of `components` entity-disjoint
+/// person/city/borough triples (rules are shared; connectivity comes only
+/// through shared entities, so each triple is its own component).
+LocalityRun ServeOverDisjointComponents(int components) {
   KnowledgeBase kb;
   ClassId w = kb.classes().GetOrAdd("Writer");
   ClassId c = kb.classes().GetOrAdd("City");
@@ -269,9 +276,6 @@ TEST(ServeLocalityTest, PerQueryGroundingIsOrderOfMagnitudeBelowFullKb) {
   RelationId born_in = kb.relations().GetOrAdd("born_in");
   RelationId live_in = kb.relations().GetOrAdd("live_in");
   RelationId grow_up_in = kb.relations().GetOrAdd("grow_up_in");
-
-  // Rules are shared; connectivity comes only through shared entities, so
-  // 40 disjoint person/city/borough triples make 40 disjoint components.
   for (RelationId head : {live_in, grow_up_in}) {
     for (ClassId c2 : {p, c}) {
       HornRule r;
@@ -284,8 +288,7 @@ TEST(ServeLocalityTest, PerQueryGroundingIsOrderOfMagnitudeBelowFullKb) {
       kb.AddRule(r);
     }
   }
-  constexpr int kComponents = 40;
-  for (int i = 0; i < kComponents; ++i) {
+  for (int i = 0; i < components; ++i) {
     std::string suffix = "_" + std::to_string(i);
     EntityId person = kb.entities().GetOrAdd("person" + suffix);
     EntityId city = kb.entities().GetOrAdd("city" + suffix);
@@ -297,21 +300,90 @@ TEST(ServeLocalityTest, PerQueryGroundingIsOrderOfMagnitudeBelowFullKb) {
   RelationalKB rkb = BuildRelationalModel(kb);
   FactId first_inferred = rkb.next_fact_id;
   Grounder grounder(&rkb, GroundingOptions{});
-  ASSERT_TRUE(grounder.GroundAtoms().ok());
+  EXPECT_TRUE(grounder.GroundAtoms().ok());
 
   ServeOptions options;
   options.grounding.max_depth = 16;
   QueryServer server(&kb, first_inferred, options);
-  ASSERT_TRUE(server.PublishEpoch(rkb).ok());
+  EXPECT_TRUE(server.PublishEpoch(rkb).ok());
 
+  LocalityRun run;
   auto answer = server.Answer("live_in(person_0, *)");
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  ASSERT_FALSE(answer->entries.empty());
-  EXPECT_FALSE(answer->truncated);
-  // One component of 6 atoms vs 40 components' worth of expanded facts.
-  EXPECT_GE(answer->total_atoms, 10 * answer->grounded_atoms)
-      << "grounded " << answer->grounded_atoms << " of "
-      << answer->total_atoms;
+  EXPECT_TRUE(answer.ok()) << answer.status();
+  if (answer.ok()) run.answer = std::move(*answer);
+  run.neighbourhood_rows = server.StatsCounter("serve_neighbourhood_rows");
+  return run;
+}
+
+/// Locality: on a KB of many entity-disjoint components, a query grounds
+/// its own component only — an order of magnitude (and more) below the
+/// full expanded TPi, which is the point of serving on demand — and the
+/// rows its joins read do not grow with the KB.
+TEST(ServeLocalityTest, PerQueryGroundingIsOrderOfMagnitudeBelowFullKb) {
+  const LocalityRun small = ServeOverDisjointComponents(40);
+  const LocalityRun large = ServeOverDisjointComponents(400);
+  for (const LocalityRun* run : {&small, &large}) {
+    ASSERT_FALSE(run->answer.entries.empty());
+    EXPECT_FALSE(run->answer.truncated);
+    // One component of 6 atoms vs every component's expanded facts.
+    EXPECT_GE(run->answer.total_atoms, 10 * run->answer.grounded_atoms)
+        << "grounded " << run->answer.grounded_atoms << " of "
+        << run->answer.total_atoms;
+    EXPECT_GT(run->neighbourhood_rows, 0);
+  }
+  EXPECT_EQ(large.answer.total_atoms, 10 * small.answer.total_atoms);
+  // Per-query cost is O(ball), not O(KB): a 10x larger KB grounds the same
+  // atoms from the same number of neighbourhood rows.
+  EXPECT_EQ(small.answer.grounded_atoms, large.answer.grounded_atoms);
+  EXPECT_EQ(small.neighbourhood_rows, large.neighbourhood_rows);
+}
+
+/// Readers that miss the same new epoch at once build its index outside
+/// the cache lock; exactly one copy is kept and every answer agrees.
+TEST_F(ServeTest, ConcurrentMissesOnOneEpochKeepOneIndex) {
+  ServeOptions options;
+  options.grounding.max_depth = 16;
+  auto server = MakeServer(options);
+  Expand();
+  ASSERT_TRUE(server->PublishEpoch(rkb_).ok());
+  auto pin = server->PinNewest();
+  ASSERT_TRUE(pin.ok());
+  auto pattern = ParseQueryPattern("live_in(Ruth Gruber, *)");
+  ASSERT_TRUE(pattern.ok());
+  EXPECT_EQ(server->CachedEpochCount(), 0u);
+
+  constexpr int kReaders = 8;
+  std::vector<ServeAnswer> answers(kReaders);
+  std::vector<Status> statuses(kReaders, Status::OK());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      // Line every reader up so their cache misses overlap.
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      auto answer = server->AnswerAt(*pattern, *pin);
+      if (answer.ok()) {
+        answers[static_cast<size_t>(r)] = std::move(*answer);
+      } else {
+        statuses[static_cast<size_t>(r)] = answer.status();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(server->CachedEpochCount(), 1u);
+  for (int r = 0; r < kReaders; ++r) {
+    ASSERT_TRUE(statuses[static_cast<size_t>(r)].ok())
+        << statuses[static_cast<size_t>(r)];
+    ExpectBitIdentical(answers[0], answers[static_cast<size_t>(r)]);
+  }
+  ASSERT_FALSE(answers[0].entries.empty());
+  // A later query at the epoch hits the one cached index.
+  auto again = server->AnswerAt(*pattern, *pin);
+  ASSERT_TRUE(again.ok());
+  ExpectBitIdentical(answers[0], *again);
+  EXPECT_EQ(server->CachedEpochCount(), 1u);
 }
 
 }  // namespace
